@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short race vet lint staticcheck fuzz-smoke stress chaos chaos-supervision chaos-fleet chaos-gray chaos-zone chaos-restart chaos-fleet-big ci clean
+.PHONY: build test short race vet lint staticcheck fuzz-smoke stress chaos chaos-supervision chaos-fleet chaos-gray chaos-zone chaos-restart chaos-fleet-big bench bench-compare ci clean
 
 build:
 	$(GO) build ./...
@@ -86,12 +86,23 @@ chaos-zone:
 chaos-restart:
 	$(GO) test -race -count=2 -run 'TestChaosRestart|TestRecover|TestImportTornWrite|TestImportWriteSite|TestReplaceImageQuarantines|TestImportImageKeepsLocalState|TestValidateFlags' ./...
 
-# Scaled opt-in smoke: 100 machines × 3 zones × 1000 synthetic functions
-# in virtual time, with one gray member ejected under load and one
-# scripted whole-zone outage healed mid-traffic. Minutes of wall clock,
-# so it is not part of ci; CATALYZER_CHAOS_MACHINES overrides the size.
+# Scaled smoke: 100 machines × 3 zones × 1000 synthetic functions in
+# virtual time, with one gray member ejected under load and one scripted
+# whole-zone outage healed mid-traffic. Under two minutes of wall clock
+# on 2 vCPUs, so CI runs it as its own step without -race;
+# CATALYZER_CHAOS_MACHINES overrides the size.
 chaos-fleet-big:
 	CATALYZER_CHAOS_BIG=1 $(GO) test -run 'TestChaosFleetBig' -v .
+
+# Full benchmark set: every workload of BENCHMARK.json, 5 runs plus one
+# traced run each, written under the commit it measured.
+bench:
+	bash bench/run.sh -runs 5 -traced -out bench/results/$$(git rev-parse HEAD).json
+
+# Compare two benchmark sets under BENCHMARK.json's bounds:
+#   make bench-compare OLD=bench/results/<old>.json NEW=bench/results/<new>.json
+bench-compare:
+	bash bench/run.sh compare $(OLD) $(NEW)
 
 ci: vet staticcheck lint race
 

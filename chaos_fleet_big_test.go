@@ -14,8 +14,8 @@ import (
 // TestChaosFleetBig is the scaled smoke: 100 machines across 3 zones
 // serving 1000 synthetic functions, with one machine gray under traffic
 // and one scripted whole-zone outage mid-traffic. It runs in virtual
-// time (wall-clock cost is the simulation itself, a few minutes), so it
-// is opt-in:
+// time; its wall-clock cost is the simulation itself, under two minutes, so
+// plain `go test ./...` skips it and CI runs it as a step of its own:
 //
 //	CATALYZER_CHAOS_BIG=1 go test -run TestChaosFleetBig .
 //

@@ -18,65 +18,86 @@ const PageSize = 4096
 // FrameID names a host physical frame. Zero is never a valid frame.
 type FrameID uint64
 
-type frame struct {
-	refs    int
-	content uint64
-}
-
 // FrameTable models host physical memory: a set of refcounted frames.
 // One FrameTable is shared by every sandbox on a simulated machine, which
 // is what makes cross-sandbox page sharing (and PSS) observable.
+//
+// Frames live in parallel slices indexed by FrameID; a frame is allocated
+// while its refcount is positive. Freed IDs go on a LIFO free list and are
+// reused before the slices grow, so the same sequence of operations always
+// yields the same IDs.
 type FrameTable struct {
-	next   FrameID
-	frames map[FrameID]*frame
+	refs    []int32  // refs[0] stays 0: FrameID 0 is never valid
+	content []uint64 // content token per frame
+	free    []FrameID
+	live    int
 }
 
 // NewFrameTable returns an empty frame table.
 func NewFrameTable() *FrameTable {
-	return &FrameTable{frames: make(map[FrameID]*frame)}
+	return &FrameTable{refs: make([]int32, 1), content: make([]uint64, 1)}
 }
 
 // Allocate creates a new frame with the given content token and one
 // reference.
 func (ft *FrameTable) Allocate(content uint64) FrameID {
-	ft.next++
-	ft.frames[ft.next] = &frame{refs: 1, content: content}
-	return ft.next
+	var id FrameID
+	if n := len(ft.free); n > 0 {
+		id = ft.free[n-1]
+		ft.free = ft.free[:n-1]
+	} else {
+		id = FrameID(len(ft.refs))
+		ft.refs = append(ft.refs, 0)
+		ft.content = append(ft.content, 0)
+	}
+	ft.refs[id] = 1
+	ft.content[id] = content
+	ft.live++
+	return id
 }
 
-func (ft *FrameTable) get(id FrameID) *frame {
-	f, ok := ft.frames[id]
-	if !ok {
+// check panics unless id names an allocated frame.
+func (ft *FrameTable) check(id FrameID) {
+	if id >= FrameID(len(ft.refs)) || ft.refs[id] <= 0 {
 		panic(fmt.Sprintf("memory: unknown frame %d", id))
 	}
-	return f
 }
 
 // Ref adds a reference to an existing frame.
-func (ft *FrameTable) Ref(id FrameID) { ft.get(id).refs++ }
+func (ft *FrameTable) Ref(id FrameID) {
+	ft.check(id)
+	ft.refs[id]++
+}
 
 // Unref drops a reference, freeing the frame at zero.
 func (ft *FrameTable) Unref(id FrameID) {
-	f := ft.get(id)
-	f.refs--
-	if f.refs < 0 {
-		panic(fmt.Sprintf("memory: frame %d refcount underflow", id))
-	}
-	if f.refs == 0 {
-		delete(ft.frames, id)
+	ft.check(id)
+	ft.refs[id]--
+	if ft.refs[id] == 0 {
+		ft.free = append(ft.free, id)
+		ft.live--
 	}
 }
 
 // Refs reports the reference count of a frame.
-func (ft *FrameTable) Refs(id FrameID) int { return ft.get(id).refs }
+func (ft *FrameTable) Refs(id FrameID) int {
+	ft.check(id)
+	return int(ft.refs[id])
+}
 
 // Content returns the frame's content token.
-func (ft *FrameTable) Content(id FrameID) uint64 { return ft.get(id).content }
+func (ft *FrameTable) Content(id FrameID) uint64 {
+	ft.check(id)
+	return ft.content[id]
+}
 
 // SetContent overwrites the frame's content token. Callers must hold the
 // only writable mapping (AddressSpace guarantees this via CoW).
-func (ft *FrameTable) SetContent(id FrameID, c uint64) { ft.get(id).content = c }
+func (ft *FrameTable) SetContent(id FrameID, c uint64) {
+	ft.check(id)
+	ft.content[id] = c
+}
 
 // Live returns the number of allocated frames (host memory in use, in
 // pages).
-func (ft *FrameTable) Live() int { return len(ft.frames) }
+func (ft *FrameTable) Live() int { return ft.live }

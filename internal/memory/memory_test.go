@@ -164,23 +164,28 @@ func TestPopulateChargesPerPage(t *testing.T) {
 	ft := NewFrameTable()
 	back := newFakeBacking(ft, []uint64{1, 2, 3, 4})
 	as := NewAddressSpace(env, ft)
-	v := VMA{Name: "img", Start: 0, End: 4, Backing: back}
-	if err := as.Map(v); err != nil {
+	if err := as.Map(VMA{Name: "img", Start: 0, End: 4, Backing: back}); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := as.Populate(v, func() { n++ }); err != nil {
+	if err := as.PopulateRange(0, 4, func(p uint64) uint64 { return 10 + p }, func() { n++ }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 4 {
 		t.Fatalf("perPage called %d times, want 4", n)
 	}
-	// Populated pages are private: a write must not CoW.
+	for p := uint64(0); p < 4; p++ {
+		if got, err := as.Read(p); err != nil || got != 10+p {
+			t.Fatalf("Read(%d) = %d,%v; want %d", p, got, err, 10+p)
+		}
+	}
+	// Populated pages are private: a write must not CoW, and nothing
+	// went through the fault path.
 	if err := as.Write(0, 9); err != nil {
 		t.Fatal(err)
 	}
-	if as.Stats().CoWFaults != 0 {
-		t.Fatalf("CoWFaults = %d after write to populated page, want 0", as.Stats().CoWFaults)
+	if st := as.Stats(); st.CoWFaults != 0 || st.DemandFaults != 0 {
+		t.Fatalf("stats = %+v after populating and writing, want no faults", st)
 	}
 }
 

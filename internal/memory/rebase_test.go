@@ -109,37 +109,51 @@ func TestRebaseIsPureRenamingProperty(t *testing.T) {
 	}
 }
 
-func TestInstallBaseReplacesAndRefs(t *testing.T) {
+func TestPopulateRangeReplacesBaseAndUnrefs(t *testing.T) {
 	env := newEnv()
 	ft := NewFrameTable()
+	back := newFakeBacking(ft, []uint64{1, 2})
 	as := NewAddressSpace(env, ft)
-	f1 := ft.Allocate(1)
-	f2 := ft.Allocate(2)
-	as.InstallBase(7, f1)
-	if got, ok := as.Translate(7); !ok || got != f1 {
-		t.Fatal("InstallBase did not map")
+	if err := as.Map(VMA{Name: "img", Start: 7, End: 9, Backing: back}); err != nil {
+		t.Fatal(err)
 	}
-	if ft.Refs(f1) != 2 {
-		t.Fatalf("refs = %d", ft.Refs(f1))
+	if _, err := as.Read(7); err != nil {
+		t.Fatal(err)
 	}
-	as.InstallBase(7, f2) // replace: f1 unref'd by the space
-	if ft.Refs(f1) != 1 || ft.Refs(f2) != 2 {
-		t.Fatalf("refs after replace: f1=%d f2=%d", ft.Refs(f1), ft.Refs(f2))
+	if got, ok := as.Translate(7); !ok || got != back.frames[0] {
+		t.Fatal("demand fault did not map the backing frame")
+	}
+	if ft.Refs(back.frames[0]) != 2 {
+		t.Fatalf("refs = %d, want 2", ft.Refs(back.frames[0]))
+	}
+	if err := as.PopulateRange(7, 9, func(uint64) uint64 { return 5 }, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Replaced: the space's reference on the backing frame is gone, and
+	// the page is counted once.
+	f, ok := as.Translate(7)
+	if !ok || f == back.frames[0] || ft.Content(f) != 5 {
+		t.Fatalf("page 7 -> frame %d (ok=%v), want a private frame holding 5", f, ok)
+	}
+	if ft.Refs(back.frames[0]) != 1 || ft.Content(back.frames[0]) != 1 {
+		t.Fatalf("backing frame refs=%d content=%d, want 1,1", ft.Refs(back.frames[0]), ft.Content(back.frames[0]))
+	}
+	if as.MappedPages() != 2 || ft.Live() != 4 {
+		t.Fatalf("MappedPages=%d Live=%d, want 2 and 4", as.MappedPages(), ft.Live())
 	}
 }
 
-func TestPopulateRejectsAnonymous(t *testing.T) {
+func TestPopulateRangeRejectsOutsideVMA(t *testing.T) {
 	env := newEnv()
 	ft := NewFrameTable()
 	as := NewAddressSpace(env, ft)
-	v := VMA{Name: "anon", Start: 0, End: 4}
-	if err := as.Map(v); err != nil {
+	if err := as.Map(VMA{Name: "anon", Start: 0, End: 4}); err != nil {
 		t.Fatal(err)
-	}
-	if err := as.Populate(v, func() {}); err == nil {
-		t.Fatal("Populate on anonymous VMA succeeded")
 	}
 	if err := as.PopulateRange(100, 104, nil, nil); err == nil {
 		t.Fatal("PopulateRange outside VMA succeeded")
+	}
+	if err := as.PopulateRange(2, 6, nil, nil); err == nil {
+		t.Fatal("PopulateRange running off the end of a VMA succeeded")
 	}
 }
