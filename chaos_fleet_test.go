@@ -175,6 +175,7 @@ func TestChaosFleetDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(statsA, statsB) {
 		t.Fatalf("same seed produced different fleet stats:\nA=%+v\nB=%+v", statsA, statsB)
 	}
+	checkGolden(t, "chaos_fleet_deterministic.golden", chaosRender(placesA, statsA))
 }
 
 func TestFleetDeployInvokeAndStats(t *testing.T) {

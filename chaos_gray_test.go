@@ -163,4 +163,5 @@ func TestChaosGrayDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(statsA, statsB) {
 		t.Fatalf("same seed produced different stats:\nA=%+v\nB=%+v", statsA, statsB)
 	}
+	checkGolden(t, "chaos_gray_deterministic.golden", chaosRender(placesA, statsA))
 }

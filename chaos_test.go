@@ -3,6 +3,10 @@ package catalyzer
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -17,6 +21,33 @@ var chaosRates = map[string]float64{
 	"base-ept-map":   0.1,
 	"metadata-fixup": 0.1,
 	"io-reconnect":   0.1,
+}
+
+// checkGolden compares the rendering of a same-seed chaos run with the
+// committed testdata/<name>. Goldens hold full-length runs only, so the
+// comparison is skipped under -short; it is also skipped off amd64,
+// where the compiler may fuse the latency EWMA's multiply-add and move
+// the gray-defense decisions.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	if testing.Short() || runtime.GOARCH != "amd64" {
+		t.Logf("golden %s not compared (short mode or GOARCH=%s)", name, runtime.GOARCH)
+		return
+	}
+	path := filepath.Join("testdata", name)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("run differs from %s; got:\n%s", path, got)
+	}
+}
+
+// chaosRender renders a chaos run for its golden: the per-invocation
+// placements, then the final stats with Go field names.
+func chaosRender(placements []int, stats any) string {
+	return fmt.Sprintf("placements: %v\nstats: %+v\n", placements, stats)
 }
 
 // typedError reports whether err is one of the API's typed failures — a
@@ -168,6 +199,7 @@ func TestChaosDeterministic(t *testing.T) {
 			t.Fatalf("same seed diverged at site %s: %+v vs %+v", site, v, b.Faults[site])
 		}
 	}
+	checkGolden(t, "chaos_deterministic.golden", fmt.Sprintf("stats: %+v\n", a))
 }
 
 // TestChaosCrashRestartReinvoke is the crash-restart-reinvoke loop: each

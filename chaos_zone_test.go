@@ -257,4 +257,5 @@ func TestChaosZoneDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(statsA, statsB) {
 		t.Fatalf("same seed produced different fleet stats:\nA=%+v\nB=%+v", statsA, statsB)
 	}
+	checkGolden(t, "chaos_zone_deterministic.golden", chaosRender(placesA, statsA))
 }
