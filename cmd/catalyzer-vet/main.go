@@ -1,9 +1,8 @@
 // Command catalyzer-vet runs the repo's invariant-enforcement suite
 // (internal/analysis) over the module: wallclock, ctxflow, typederr,
-// lockdiscipline, metricsreg, maporder, trackedgo, faultsite and
-// statsmirror. It exits non-zero if any diagnostic survives
-// //lint:allow suppression, so `make lint` / CI fail on invariant
-// regressions.
+// lockdiscipline, maporder, trackedgo and faultsite. It exits non-zero
+// if any diagnostic survives //lint:allow suppression, so `make lint` /
+// CI fail on invariant regressions.
 //
 // Usage:
 //
@@ -33,8 +32,6 @@ import (
 	"catalyzer/internal/analysis/faultsite"
 	"catalyzer/internal/analysis/lockdiscipline"
 	"catalyzer/internal/analysis/maporder"
-	"catalyzer/internal/analysis/metricsreg"
-	"catalyzer/internal/analysis/statsmirror"
 	"catalyzer/internal/analysis/trackedgo"
 	"catalyzer/internal/analysis/typederr"
 	"catalyzer/internal/analysis/wallclock"
@@ -49,11 +46,9 @@ func analyzers() []*analysis.Analyzer {
 		ctxflow.Analyzer,
 		typederr.Analyzer,
 		lockdiscipline.Analyzer,
-		metricsreg.Analyzer,
 		maporder.Analyzer,
 		trackedgo.Analyzer,
 		faultsite.New(),
-		statsmirror.Analyzer,
 	}
 }
 

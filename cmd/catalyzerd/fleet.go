@@ -58,21 +58,7 @@ func (s *fleetServer) invoke(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	resp := fleetInvokeResponse{
-		invokeResponse: invokeResponse{
-			Function: inv.Function,
-			Boot:     string(inv.Kind),
-			ServedBy: string(inv.ServedBy),
-			BootMS:   float64(inv.BootLatency) / 1e6,
-			ExecMS:   float64(inv.ExecLatency) / 1e6,
-			TotalMS:  float64(inv.Total()) / 1e6,
-			PhasesMS: map[string]float64{},
-		},
-		Machine: inv.Machine,
-	}
-	for _, ph := range inv.Phases {
-		resp.PhasesMS[ph.Name] += float64(ph.Duration) / 1e6
-	}
+	resp := fleetInvokeResponse{invokeResponse: invokeResponseOf(inv), Machine: inv.Machine}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(resp); err != nil {
 		log.Printf("encode: %v", err)
@@ -155,11 +141,6 @@ func (s *fleetServer) machines(w http.ResponseWriter, _ *http.Request) {
 	_ = json.NewEncoder(w).Encode(out)
 }
 
-func (s *fleetServer) functions(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(catalyzer.Functions())
-}
-
 func (s *fleetServer) stats(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{
@@ -170,151 +151,17 @@ func (s *fleetServer) stats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// fleetMetrics is the JSON form of the fleet control plane's counters.
-type fleetMetrics struct {
-	Machines              int   `json:"machines"`
-	Up                    int   `json:"up"`
-	Down                  int   `json:"down"`
-	Deployed              int   `json:"deployed"`
-	Crashes               int   `json:"crashes"`
-	Partitions            int   `json:"partitions"`
-	UnreachableDispatches int   `json:"unreachable_dispatches"`
-	SlowDispatches        int   `json:"slow_dispatches"`
-	Rejoins               int   `json:"rejoins"`
-	MembershipProbes      int   `json:"membership_probes"`
-	Failovers             int   `json:"failovers"`
-	Replays               int   `json:"replays"`
-	ImagePulls            int   `json:"image_pulls"`
-	TemplateForks         int   `json:"template_forks"`
-	LocalBuilds           int   `json:"local_builds"`
-	Rereplications        int   `json:"rereplications"`
-	RepairFailures        int   `json:"repair_failures"`
-	ReplicasLost          int   `json:"replicas_lost"`
-	Spills                int   `json:"spills"`
-	GrayDispatches        int   `json:"gray_dispatches"`
-	FlakyDispatches       int   `json:"flaky_dispatches"`
-	Hedges                int   `json:"hedges"`
-	HedgeWins             int   `json:"hedge_wins"`
-	HedgeLosersLingered   int   `json:"hedge_losers_lingered"`
-	Retries               int   `json:"retries"`
-	BudgetSpent           int   `json:"budget_spent"`
-	BudgetDenials         int   `json:"budget_denials"`
-	Ejections             int   `json:"ejections"`
-	EjectionsDeferred     int   `json:"ejections_deferred"`
-	Readmissions          int   `json:"readmissions"`
-	EjectionProbes        int   `json:"ejection_probes"`
-	BrownoutServes        int   `json:"brownout_serves"`
-	EjectedMachines       int   `json:"ejected_machines"`
-	Zones                 int   `json:"zones"`
-	ZonesDown             int   `json:"zones_down"`
-	ZoneSpreadViolations  int   `json:"zone_spread_violations"`
-	ZoneDownDispatches    int   `json:"zone_down_dispatches"`
-	SplitDispatches       int   `json:"split_dispatches"`
-	RollingCrashes        int   `json:"rolling_crashes"`
-	ScenarioSteps         int   `json:"scenario_steps"`
-	ZoneDegradedErrors    int   `json:"zone_degraded_errors"`
-	RepairsDeferred       int   `json:"repairs_deferred"`
-	RepairPeakInFlight    int   `json:"repair_peak_in_flight"`
-	RepairQueueDepth      int   `json:"repair_queue_depth"`
-	StoresRecovered       int   `json:"stores_recovered"`
-	TornStores            int   `json:"torn_stores"`
-	FunctionsRecovered    int   `json:"functions_recovered"`
-	StaleRepulls          int   `json:"stale_repulls"`
-	DivergentQuarantined  int   `json:"divergent_quarantined"`
-	RecoverFailures       int   `json:"recover_failures"`
-
-	InvokeP50MS float64 `json:"invoke_p50_ms"`
-	InvokeP99MS float64 `json:"invoke_p99_ms"`
-	InvokeMaxMS float64 `json:"invoke_max_ms"`
-
-	Served []int `json:"served_per_machine"`
-	Live   []int `json:"live_per_machine"`
-}
-
-func fleetMetricsOf(st catalyzer.FleetStats) fleetMetrics {
-	return fleetMetrics{
-		Machines:              st.Machines,
-		Up:                    st.Up,
-		Down:                  st.Down,
-		Deployed:              st.Deployed,
-		Crashes:               st.Crashes,
-		Partitions:            st.Partitions,
-		UnreachableDispatches: st.UnreachableDispatches,
-		SlowDispatches:        st.SlowDispatches,
-		Rejoins:               st.Rejoins,
-		MembershipProbes:      st.MembershipProbes,
-		Failovers:             st.Failovers,
-		Replays:               st.Replays,
-		ImagePulls:            st.ImagePulls,
-		TemplateForks:         st.TemplateForks,
-		LocalBuilds:           st.LocalBuilds,
-		Rereplications:        st.Rereplications,
-		RepairFailures:        st.RepairFailures,
-		ReplicasLost:          st.ReplicasLost,
-		Spills:                st.Spills,
-		GrayDispatches:        st.GrayDispatches,
-		FlakyDispatches:       st.FlakyDispatches,
-		Hedges:                st.Hedges,
-		HedgeWins:             st.HedgeWins,
-		HedgeLosersLingered:   st.HedgeLosersLingered,
-		Retries:               st.Retries,
-		BudgetSpent:           st.BudgetSpent,
-		BudgetDenials:         st.BudgetDenials,
-		Ejections:             st.Ejections,
-		EjectionsDeferred:     st.EjectionsDeferred,
-		Readmissions:          st.Readmissions,
-		EjectionProbes:        st.EjectionProbes,
-		BrownoutServes:        st.BrownoutServes,
-		EjectedMachines:       st.EjectedMachines,
-		Zones:                 st.Zones,
-		ZonesDown:             st.ZonesDown,
-		ZoneSpreadViolations:  st.ZoneSpreadViolations,
-		ZoneDownDispatches:    st.ZoneDownDispatches,
-		SplitDispatches:       st.SplitDispatches,
-		RollingCrashes:        st.RollingCrashes,
-		ScenarioSteps:         st.ScenarioSteps,
-		ZoneDegradedErrors:    st.ZoneDegradedErrors,
-		RepairsDeferred:       st.RepairsDeferred,
-		RepairPeakInFlight:    st.RepairPeakInFlight,
-		RepairQueueDepth:      st.RepairQueueDepth,
-		StoresRecovered:       st.StoresRecovered,
-		TornStores:            st.TornStores,
-		FunctionsRecovered:    st.FunctionsRecovered,
-		StaleRepulls:          st.StaleRepulls,
-		DivergentQuarantined:  st.DivergentQuarantined,
-		RecoverFailures:       st.RecoverFailures,
-		InvokeP50MS:           float64(st.InvokeP50) / 1e6,
-		InvokeP99MS:           float64(st.InvokeP99) / 1e6,
-		InvokeMaxMS:           float64(st.InvokeMax) / 1e6,
-		Served:                st.Served,
-		Live:                  st.Live,
-	}
-}
-
 func (s *fleetServer) metrics(w http.ResponseWriter, _ *http.Request) {
-	type kindStats struct {
-		Count  int     `json:"count"`
-		MeanMS float64 `json:"mean_ms"`
-		P50MS  float64 `json:"p50_ms"`
-		P95MS  float64 `json:"p95_ms"`
-		P99MS  float64 `json:"p99_ms"`
-		MaxMS  float64 `json:"max_ms"`
-	}
-	boots := map[string]kindStats{}
-	for kind, st := range s.fleet.Stats() {
-		boots[string(kind)] = kindStats{
-			Count:  st.Count,
-			MeanMS: float64(st.MeanBoot) / 1e6,
-			P50MS:  float64(st.P50Boot) / 1e6,
-			P95MS:  float64(st.P95Boot) / 1e6,
-			P99MS:  float64(st.P99Boot) / 1e6,
-			MaxMS:  float64(st.MaxBoot) / 1e6,
-		}
-	}
+	st := s.fleet.FleetStats()
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{
-		"boots": boots,
-		"fleet": fleetMetricsOf(s.fleet.FleetStats()),
+		"boots": bootsOf(s.fleet.Stats()),
+		"fleet": struct {
+			catalyzer.FleetStats
+			InvokeP50MS float64 `json:"invoke_p50_ms"`
+			InvokeP99MS float64 `json:"invoke_p99_ms"`
+			InvokeMaxMS float64 `json:"invoke_max_ms"`
+		}{st, float64(st.InvokeP50) / 1e6, float64(st.InvokeP99) / 1e6, float64(st.InvokeMax) / 1e6},
 	})
 }
 
@@ -395,7 +242,7 @@ func FleetHandler(f *catalyzer.Fleet) http.Handler {
 	mux.HandleFunc("POST /machines/kill", s.kill)
 	mux.HandleFunc("POST /machines/restart", s.restart)
 	mux.HandleFunc("GET /machines", s.machines)
-	mux.HandleFunc("GET /functions", s.functions)
+	mux.HandleFunc("GET /functions", functions)
 	mux.HandleFunc("GET /stats", s.stats)
 	mux.HandleFunc("GET /metrics", s.metrics)
 	mux.HandleFunc("GET /health", s.health)

@@ -152,7 +152,7 @@ func TestFleetMetricsCarriesFleetSection(t *testing.T) {
 		Boots map[string]struct {
 			Count int `json:"count"`
 		} `json:"boots"`
-		Fleet fleetMetrics `json:"fleet"`
+		Fleet catalyzer.FleetStats `json:"fleet"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)

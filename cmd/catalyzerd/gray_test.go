@@ -121,7 +121,7 @@ func TestFleetInvokeBudgetExhaustedOverHTTP(t *testing.T) {
 	}
 	defer mresp.Body.Close()
 	var body struct {
-		Fleet fleetMetrics `json:"fleet"`
+		Fleet catalyzer.FleetStats `json:"fleet"`
 	}
 	if err := json.NewDecoder(mresp.Body).Decode(&body); err != nil {
 		t.Fatal(err)

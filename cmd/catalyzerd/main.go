@@ -189,6 +189,55 @@ type invokeResponse struct {
 	PhasesMS map[string]float64 `json:"phases_ms"`
 }
 
+// invokeResponseOf is the wire form of one served invocation.
+func invokeResponseOf(inv *catalyzer.Invocation) invokeResponse {
+	resp := invokeResponse{
+		Function: inv.Function,
+		Boot:     string(inv.Kind),
+		ServedBy: string(inv.ServedBy),
+		BootMS:   float64(inv.BootLatency) / 1e6,
+		ExecMS:   float64(inv.ExecLatency) / 1e6,
+		TotalMS:  float64(inv.Total()) / 1e6,
+		PhasesMS: map[string]float64{},
+	}
+	for _, ph := range inv.Phases {
+		resp.PhasesMS[ph.Name] += float64(ph.Duration) / 1e6
+	}
+	return resp
+}
+
+// kindStats is one boot kind's row in the "boots" section of /metrics.
+type kindStats struct {
+	Count  int     `json:"count"`
+	MeanMS float64 `json:"mean_ms"`
+	P50MS  float64 `json:"p50_ms"`
+	P95MS  float64 `json:"p95_ms"`
+	P99MS  float64 `json:"p99_ms"`
+	MaxMS  float64 `json:"max_ms"`
+}
+
+// bootsOf is the "boots" section of /metrics: one row per boot kind.
+func bootsOf(stats map[catalyzer.BootKind]catalyzer.KindStats) map[string]kindStats {
+	boots := make(map[string]kindStats, len(stats))
+	for kind, st := range stats {
+		boots[string(kind)] = kindStats{
+			Count:  st.Count,
+			MeanMS: float64(st.MeanBoot) / 1e6,
+			P50MS:  float64(st.P50Boot) / 1e6,
+			P95MS:  float64(st.P95Boot) / 1e6,
+			P99MS:  float64(st.P99Boot) / 1e6,
+			MaxMS:  float64(st.MaxBoot) / 1e6,
+		}
+	}
+	return boots
+}
+
+// functions lists the deployable workloads (shared by both servers).
+func functions(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(catalyzer.Functions())
+}
+
 func (s *server) deploy(w http.ResponseWriter, r *http.Request) {
 	fn := r.URL.Query().Get("fn")
 	if fn == "" {
@@ -223,20 +272,8 @@ func (s *server) invoke(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	resp := invokeResponse{
-		Function: inv.Function,
-		Boot:     string(inv.Kind),
-		ServedBy: string(inv.ServedBy),
-		BootMS:   float64(inv.BootLatency) / 1e6,
-		ExecMS:   float64(inv.ExecLatency) / 1e6,
-		TotalMS:  float64(inv.Total()) / 1e6,
-		PhasesMS: map[string]float64{},
-	}
-	for _, ph := range inv.Phases {
-		resp.PhasesMS[ph.Name] += float64(ph.Duration) / 1e6
-	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
+	if err := json.NewEncoder(w).Encode(invokeResponseOf(inv)); err != nil {
 		log.Printf("encode: %v", err)
 	}
 }
@@ -279,155 +316,19 @@ func (s *server) train(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "trained variant %s\n", name)
 }
 
-func (s *server) functions(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(catalyzer.Functions())
-}
-
-// failureMetrics is the JSON form of the failure-recovery counters.
-type failureMetrics struct {
-	BootFailures            map[string]int            `json:"boot_failures"`
-	Fallbacks               map[string]int            `json:"fallbacks"`
-	Retries                 int                       `json:"retries"`
-	BackoffTotalMS          float64                   `json:"backoff_total_ms"`
-	BreakerTrips            int                       `json:"breaker_trips"`
-	BreakerSkips            int                       `json:"breaker_skips"`
-	Breakers                map[string]string         `json:"breakers"`
-	TemplatesQuarantined    int                       `json:"templates_quarantined"`
-	TemplateRebuildFailures int                       `json:"template_rebuild_failures"`
-	WatchdogKills           int                       `json:"watchdog_kills"`
-	TemplatesPoisoned       int                       `json:"templates_poisoned"`
-	TemplateRegens          int                       `json:"template_regens"`
-	TemplateRegenFailures   int                       `json:"template_regen_failures"`
-	ImagesQuarantined       int                       `json:"images_quarantined"`
-	ImageLoadFaults         int                       `json:"image_load_faults"`
-	Rollbacks               int                       `json:"rollbacks"`
-	ImageRebuilds           int                       `json:"image_rebuilds"`
-	ImageRebuildFailures    int                       `json:"image_rebuild_failures"`
-	ImageSaveFailures       int                       `json:"image_save_failures"`
-	OrphansSwept            int                       `json:"orphans_swept"`
-	ScrubRepaired           int                       `json:"scrub_repaired"`
-	ScrubQuarantined        int                       `json:"scrub_quarantined"`
-	Exhausted               int                       `json:"exhausted"`
-	Aborted                 int                       `json:"aborted"`
-	MemoryReclaims          int                       `json:"memory_reclaims"`
-	KeepWarmEvictions       int                       `json:"keep_warm_evictions"`
-	TemplatesRetired        int                       `json:"templates_retired"`
-	InjectedFaults          map[string]map[string]int `json:"injected_faults,omitempty"`
-}
-
-func failureMetricsOf(st catalyzer.FailureStats) failureMetrics {
-	fm := failureMetrics{
-		BootFailures:            st.BootFailures,
-		Fallbacks:               st.Fallbacks,
-		Retries:                 st.Retries,
-		BackoffTotalMS:          float64(st.BackoffTotal) / 1e6,
-		BreakerTrips:            st.BreakerTrips,
-		BreakerSkips:            st.BreakerSkips,
-		Breakers:                st.Breakers,
-		TemplatesQuarantined:    st.TemplatesQuarantined,
-		TemplateRebuildFailures: st.TemplateRebuildFailures,
-		WatchdogKills:           st.WatchdogKills,
-		TemplatesPoisoned:       st.TemplatesPoisoned,
-		TemplateRegens:          st.TemplateRegens,
-		TemplateRegenFailures:   st.TemplateRegenFailures,
-		ImagesQuarantined:       st.ImagesQuarantined,
-		ImageLoadFaults:         st.ImageLoadFaults,
-		Rollbacks:               st.Rollbacks,
-		ImageRebuilds:           st.ImageRebuilds,
-		ImageRebuildFailures:    st.ImageRebuildFailures,
-		ImageSaveFailures:       st.ImageSaveFailures,
-		OrphansSwept:            st.OrphansSwept,
-		ScrubRepaired:           st.ScrubRepaired,
-		ScrubQuarantined:        st.ScrubQuarantined,
-		Exhausted:               st.Exhausted,
-		Aborted:                 st.Aborted,
-		MemoryReclaims:          st.MemoryReclaims,
-		KeepWarmEvictions:       st.KeepWarmEvictions,
-		TemplatesRetired:        st.TemplatesRetired,
-	}
-	if len(st.Faults) > 0 {
-		fm.InjectedFaults = make(map[string]map[string]int, len(st.Faults))
-		for site, fc := range st.Faults {
-			fm.InjectedFaults[site] = map[string]int{"checks": fc.Checks, "injected": fc.Injected}
-		}
-	}
-	return fm
-}
-
-// superviseMetrics is the JSON form of the runtime supervision counters.
-type superviseMetrics struct {
-	ProbesRun        int `json:"probes_run"`
-	TargetsProbed    int `json:"targets_probed"`
-	WedgedEvicted    int `json:"wedged_evicted"`
-	CrashLoopsParked int `json:"crash_loops_parked"`
-	CrashLoopRejects int `json:"crash_loop_rejects"`
-	ParkedFunctions  int `json:"parked_functions"`
-}
-
-func superviseMetricsOf(st catalyzer.SuperviseStats) superviseMetrics {
-	return superviseMetrics{
-		ProbesRun:        st.ProbesRun,
-		TargetsProbed:    st.TargetsProbed,
-		WedgedEvicted:    st.WedgedEvicted,
-		CrashLoopsParked: st.CrashLoopsParked,
-		CrashLoopRejects: st.CrashLoopRejects,
-		ParkedFunctions:  st.ParkedFunctions,
-	}
-}
-
-// overloadMetrics is the JSON form of the admission/overload counters.
-type overloadMetrics struct {
-	Admitted   int            `json:"admitted"`
-	Shed       int            `json:"shed"`
-	Expired    int            `json:"expired"`
-	Canceled   int            `json:"canceled"`
-	InFlight   int            `json:"in_flight"`
-	QueueDepth int            `json:"queue_depth"`
-	QueuePeak  int            `json:"queue_peak"`
-	PerFn      map[string]int `json:"in_flight_per_function"`
-	Draining   bool           `json:"draining"`
-}
-
-func overloadMetricsOf(st catalyzer.OverloadStats) overloadMetrics {
-	return overloadMetrics{
-		Admitted:   st.Admitted,
-		Shed:       st.Shed,
-		Expired:    st.Expired,
-		Canceled:   st.Canceled,
-		InFlight:   st.InFlight,
-		QueueDepth: st.QueueDepth,
-		QueuePeak:  st.QueuePeak,
-		PerFn:      st.PerFunction,
-		Draining:   st.Draining,
-	}
-}
-
+// metrics encodes each section's stats struct directly (its json tags
+// are the wire names), adding only the virtual-time durations as float
+// milliseconds.
 func (s *server) metrics(w http.ResponseWriter, _ *http.Request) {
-	type kindStats struct {
-		Count  int     `json:"count"`
-		MeanMS float64 `json:"mean_ms"`
-		P50MS  float64 `json:"p50_ms"`
-		P95MS  float64 `json:"p95_ms"`
-		P99MS  float64 `json:"p99_ms"`
-		MaxMS  float64 `json:"max_ms"`
-	}
-	boots := map[string]kindStats{}
-	for kind, st := range s.client.Stats() {
-		boots[string(kind)] = kindStats{
-			Count:  st.Count,
-			MeanMS: float64(st.MeanBoot) / 1e6,
-			P50MS:  float64(st.P50Boot) / 1e6,
-			P95MS:  float64(st.P95Boot) / 1e6,
-			P99MS:  float64(st.P99Boot) / 1e6,
-			MaxMS:  float64(st.MaxBoot) / 1e6,
-		}
-	}
+	st := s.client.FailureStats()
 	body := map[string]any{
-		"boots":     boots,
-		"failures":  failureMetricsOf(s.client.FailureStats()),
-		"overload":  overloadMetricsOf(s.client.OverloadStats()),
-		"supervise": superviseMetricsOf(s.client.SuperviseStats()),
+		"boots": bootsOf(s.client.Stats()),
+		"failures": struct {
+			catalyzer.FailureStats
+			BackoffTotalMS float64 `json:"backoff_total_ms"`
+		}{st, float64(st.BackoffTotal) / 1e6},
+		"overload":  s.client.OverloadStats(),
+		"supervise": s.client.SuperviseStats(),
 	}
 	if rep := s.client.RecoveryReport(); rep != nil {
 		body["recovery"] = map[string]any{
@@ -503,7 +404,7 @@ func Handler(c *catalyzer.Client) http.Handler {
 	mux.HandleFunc("POST /deploy-custom", s.deployCustom)
 	mux.HandleFunc("POST /train", s.train)
 	mux.HandleFunc("POST /invoke", s.invoke)
-	mux.HandleFunc("GET /functions", s.functions)
+	mux.HandleFunc("GET /functions", functions)
 	mux.HandleFunc("GET /stats", s.stats)
 	mux.HandleFunc("GET /metrics", s.metrics)
 	mux.HandleFunc("GET /health", s.health)

@@ -395,8 +395,8 @@ func TestRestartRecovery(t *testing.T) {
 }
 
 // TestMetricsSuperviseSection: /metrics carries the full supervision
-// counter set (the superviseMetricsOf projection is additionally checked
-// for completeness by the metricsreg analyzer).
+// counter set (the daemon encodes supervise.Stats directly, and
+// TestMetricsKeySetSingleMachine pins every key).
 func TestMetricsSuperviseSection(t *testing.T) {
 	srv := newTestServer(t)
 	post(t, srv, "/deploy?fn=c-hello")

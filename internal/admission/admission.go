@@ -68,29 +68,31 @@ type Config struct {
 	QueueDepth int
 }
 
-// Stats is a snapshot of the controller's accounting.
+// Stats is a snapshot of the controller's accounting, re-exported as
+// catalyzer.OverloadStats. The daemon encodes it as the "overload"
+// section of /metrics; the json tags are the wire names.
 type Stats struct {
 	// Admitted counts requests granted a slot (immediately or after
 	// queueing).
-	Admitted int
+	Admitted int `json:"admitted"`
 	// Shed counts requests rejected over capacity (queue full) or during
 	// drain.
-	Shed int
+	Shed int `json:"shed"`
 	// Expired counts requests whose deadline passed before they could be
 	// admitted (on arrival or while queued).
-	Expired int
+	Expired int `json:"expired"`
 	// Canceled counts requests whose context was canceled while queued.
-	Canceled int
+	Canceled int `json:"canceled"`
 	// InFlight is the current number of admitted, unreleased requests.
-	InFlight int
+	InFlight int `json:"in_flight"`
 	// QueueDepth is the current queue length; QueuePeak its high-water
 	// mark.
-	QueueDepth int
-	QueuePeak  int
+	QueueDepth int `json:"queue_depth"`
+	QueuePeak  int `json:"queue_peak"`
 	// PerFunction is the current in-flight gauge per function.
-	PerFunction map[string]int
+	PerFunction map[string]int `json:"in_flight_per_function"`
 	// Draining reports whether the controller has stopped admitting.
-	Draining bool
+	Draining bool `json:"draining"`
 }
 
 // waiter is one queued request.

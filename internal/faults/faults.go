@@ -244,8 +244,8 @@ func IsFault(err error) bool {
 
 // SiteCount reports one site's draw/injection totals.
 type SiteCount struct {
-	Checks   int // times the site was evaluated
-	Injected int // times it failed
+	Checks   int `json:"checks"`   // times the site was evaluated
+	Injected int `json:"injected"` // times it failed
 }
 
 // Injector is a deterministic, seedable fault source. Arm a site with a

@@ -134,6 +134,14 @@ func TestBreakerOpensAndSkipsStage(t *testing.T) {
 	if st.BreakerTrips != 1 {
 		t.Fatalf("trips = %d, want 1", st.BreakerTrips)
 	}
+	// The snapshot carries the breaker states and the injector's per-site
+	// counts: three sfork draws, all injected.
+	if got := st.Breakers["c-hello/"+string(CatalyzerSfork)]; got != "open" {
+		t.Fatalf("FailureStats breaker = %q, want open: %v", got, st.Breakers)
+	}
+	if got := st.Faults[faults.SiteSfork]; got != (faults.SiteCount{Checks: 3, Injected: 3}) {
+		t.Fatalf("FailureStats sfork faults = %+v, want 3 checks, 3 injected", got)
+	}
 
 	// The next invocation skips sfork without attempting it.
 	fails := st.BootFailures[CatalyzerSfork]

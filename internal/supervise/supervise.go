@@ -120,23 +120,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is the supervisor's accounting. Everything here must reach the
-// daemon's /metrics (enforced by the metricsreg analyzer on the
-// projection in cmd/catalyzerd).
+// Stats is the supervisor's accounting, re-exported as
+// catalyzer.SuperviseStats. The daemon encodes it as the "supervise"
+// section of /metrics; the json tags are the wire names.
 type Stats struct {
 	// ProbesRun counts probe-group executions; TargetsProbed counts the
 	// individual instances those probes inspected.
-	ProbesRun     int
-	TargetsProbed int
+	ProbesRun     int `json:"probes_run"`
+	TargetsProbed int `json:"targets_probed"`
 	// WedgedEvicted counts instances a probe found wedged and evicted
 	// (keep-warm instances, pooled Zygotes, template sandboxes).
-	WedgedEvicted int
+	WedgedEvicted int `json:"wedged_evicted"`
 	// CrashLoopsParked counts park events; CrashLoopRejects counts
 	// boots refused with ErrCrashLooping while parked.
-	CrashLoopsParked int
-	CrashLoopRejects int
+	CrashLoopsParked int `json:"crash_loops_parked"`
+	CrashLoopRejects int `json:"crash_loop_rejects"`
 	// ParkedFunctions is the current number of parked functions (gauge).
-	ParkedFunctions int
+	ParkedFunctions int `json:"parked_functions"`
 }
 
 // probeEntry is one registered probe group.

@@ -233,129 +233,18 @@ func (c *Client) DisarmFaults() { c.p.DisarmFaults() }
 func (c *Client) SetRecoveryConfig(cfg RecoveryConfig) { c.p.SetRecoveryConfig(cfg) }
 
 // FaultCount reports one injection site's draw/injection totals.
-type FaultCount struct {
-	Checks   int
-	Injected int
-}
+type FaultCount = faults.SiteCount
 
 // FailureStats is everything the failure machinery did on behalf of
 // traffic: raw stage failures, fallbacks, retries and their virtual-time
 // backoff, circuit-breaker activity, quarantines, and injected-fault
-// accounting.
-type FailureStats struct {
-	// BootFailures counts raw boot-stage failures, keyed by system name.
-	BootFailures map[string]int
-	// Fallbacks counts boots served by a stage other than the requested
-	// one, keyed by the stage that served.
-	Fallbacks map[string]int
-	// Retries counts same-stage retry attempts; BackoffTotal is the
-	// virtual time charged backing off before them.
-	Retries      int
-	BackoffTotal Duration
-	// BreakerTrips counts breaker open transitions; BreakerSkips counts
-	// chain stages skipped because their breaker was open.
-	BreakerTrips int
-	BreakerSkips int
-	// TemplatesQuarantined counts template quarantine-and-rebuild events;
-	// TemplateRebuildFailures counts rebuilds that themselves failed.
-	TemplatesQuarantined    int
-	TemplateRebuildFailures int
-	// WatchdogKills counts hung invocations killed and reaped by the
-	// supervisor's watchdog.
-	WatchdogKills int
-	// TemplatesPoisoned counts poisoning verdicts (templates convicted by
-	// correlated child failures; each also counts in
-	// TemplatesQuarantined). TemplateRegens / TemplateRegenFailures count
-	// the asynchronous template rebuilds the supervisor ran afterwards.
-	TemplatesPoisoned     int
-	TemplateRegens        int
-	TemplateRegenFailures int
-	// ImagesQuarantined counts corrupt stored func-images moved aside;
-	// ImageLoadFaults counts store fetches that failed without evidence
-	// of corruption.
-	ImagesQuarantined int
-	ImageLoadFaults   int
-	// Rollbacks counts corrupt active generations served from their
-	// last-known-good predecessor instead of a synchronous rebuild;
-	// ImageRebuilds counts the off-critical-path rebuilds that followed
-	// (ImageRebuildFailures the ones that themselves failed).
-	Rollbacks            int
-	ImageRebuilds        int
-	ImageRebuildFailures int
-	// ImageSaveFailures counts image persists that failed at a durability
-	// boundary; the deploy still succeeds on the in-memory image.
-	ImageSaveFailures int
-	// Store scrub accounting, from every open of the on-disk image store:
-	// OrphansSwept counts abandoned temp/stale generation files removed,
-	// ScrubRepaired counts divergences repaired in place (torn journal
-	// tails truncated, unjournaled generations adopted), ScrubQuarantined
-	// counts files that failed verification and were moved aside.
-	OrphansSwept     int
-	ScrubRepaired    int
-	ScrubQuarantined int
-	// Exhausted counts invocations whose whole fallback chain failed.
-	Exhausted int
-	// Aborted counts invocations whose fallback chain was cut short by
-	// the caller's context (deadline or cancellation) mid-chain.
-	Aborted int
-	// MemoryReclaims counts boots that relieved memory pressure by
-	// reclaiming instead of failing; KeepWarmEvictions and
-	// TemplatesRetired break down what was freed.
-	MemoryReclaims    int
-	KeepWarmEvictions int
-	TemplatesRetired  int
-	// Breakers reports every instantiated circuit breaker's state
-	// ("closed", "open", "half-open"), keyed "function/system".
-	Breakers map[string]string
-	// Faults reports per-site injection totals, keyed by site name.
-	Faults map[string]FaultCount
-}
+// accounting. BootFailures and Fallbacks are keyed by system name,
+// Breakers by "function/system", Faults by site name.
+type FailureStats = platform.FailureStats
 
 // FailureStats returns a snapshot of the client's failure-recovery
 // accounting.
-func (c *Client) FailureStats() FailureStats {
-	st := c.p.FailureStats()
-	out := FailureStats{
-		BootFailures:            make(map[string]int, len(st.BootFailures)),
-		Fallbacks:               make(map[string]int, len(st.Fallbacks)),
-		Retries:                 st.Retries,
-		BackoffTotal:            st.BackoffTotal,
-		BreakerTrips:            st.BreakerTrips,
-		BreakerSkips:            st.BreakerSkips,
-		TemplatesQuarantined:    st.TemplatesQuarantined,
-		TemplateRebuildFailures: st.TemplateRebuildFailures,
-		WatchdogKills:           st.WatchdogKills,
-		TemplatesPoisoned:       st.TemplatesPoisoned,
-		TemplateRegens:          st.TemplateRegens,
-		TemplateRegenFailures:   st.TemplateRegenFailures,
-		ImagesQuarantined:       st.ImagesQuarantined,
-		ImageLoadFaults:         st.ImageLoadFaults,
-		Rollbacks:               st.Rollbacks,
-		ImageRebuilds:           st.ImageRebuilds,
-		ImageRebuildFailures:    st.ImageRebuildFailures,
-		ImageSaveFailures:       st.ImageSaveFailures,
-		OrphansSwept:            st.OrphansSwept,
-		ScrubRepaired:           st.ScrubRepaired,
-		ScrubQuarantined:        st.ScrubQuarantined,
-		Exhausted:               st.Exhausted,
-		Aborted:                 st.Aborted,
-		MemoryReclaims:          st.MemoryReclaims,
-		KeepWarmEvictions:       st.KeepWarmEvictions,
-		TemplatesRetired:        st.TemplatesRetired,
-		Breakers:                c.p.BreakerStates(),
-		Faults:                  make(map[string]FaultCount),
-	}
-	for sys, n := range st.BootFailures {
-		out.BootFailures[string(sys)] = n
-	}
-	for sys, n := range st.Fallbacks {
-		out.Fallbacks[string(sys)] = n
-	}
-	for site, fc := range c.p.FaultCounts() {
-		out.Faults[string(site)] = FaultCount{Checks: fc.Checks, Injected: fc.Injected}
-	}
-	return out
-}
+func (c *Client) FailureStats() FailureStats { return c.p.FailureStats() }
 
 // SuperviseConfig tunes the client's runtime supervision layer: the
 // virtual-time liveness-probe cadence over keep-warm instances,
@@ -372,35 +261,11 @@ func DefaultSuperviseConfig() SuperviseConfig { return supervise.DefaultConfig()
 
 // SuperviseStats is a snapshot of the client's runtime supervision
 // accounting.
-type SuperviseStats struct {
-	// ProbesRun counts probe-group executions; TargetsProbed counts the
-	// individual instances those probes inspected.
-	ProbesRun     int
-	TargetsProbed int
-	// WedgedEvicted counts instances a probe found wedged and evicted
-	// (keep-warm instances, pooled Zygotes, template sandboxes).
-	WedgedEvicted int
-	// CrashLoopsParked counts park events; CrashLoopRejects counts boots
-	// refused with ErrCrashLooping while parked.
-	CrashLoopsParked int
-	CrashLoopRejects int
-	// ParkedFunctions is the current number of parked functions (gauge).
-	ParkedFunctions int
-}
+type SuperviseStats = supervise.Stats
 
 // SuperviseStats returns a snapshot of the client's runtime supervision
 // accounting.
-func (c *Client) SuperviseStats() SuperviseStats {
-	st := c.p.SuperviseStats()
-	return SuperviseStats{
-		ProbesRun:        st.ProbesRun,
-		TargetsProbed:    st.TargetsProbed,
-		WedgedEvicted:    st.WedgedEvicted,
-		CrashLoopsParked: st.CrashLoopsParked,
-		CrashLoopRejects: st.CrashLoopRejects,
-		ParkedFunctions:  st.ParkedFunctions,
-	}
-}
+func (c *Client) SuperviseStats() SuperviseStats { return c.p.SuperviseStats() }
 
 // ParkedFunctions lists crash-looping functions currently parked, with
 // the remaining virtual park time of each.
