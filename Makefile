@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short race vet lint staticcheck fuzz-smoke stress chaos chaos-supervision chaos-fleet chaos-gray chaos-zone chaos-restart chaos-fleet-big bench bench-compare ci clean
+.PHONY: build test short race vet lint staticcheck fuzz-smoke stress chaos chaos-supervision chaos-fleet chaos-gray chaos-zone chaos-restart chaos-fleet-big bench bench-compare bench-test ci clean
 
 build:
 	$(GO) build ./...
@@ -19,8 +19,8 @@ vet:
 	$(GO) vet ./...
 
 # The repo's own invariant suite (wallclock, ctxflow, typederr,
-# lockdiscipline, metricsreg, maporder, trackedgo, faultsite,
-# statsmirror); see DESIGN.md "Enforced invariants".
+# lockdiscipline, maporder, trackedgo, faultsite); see DESIGN.md
+# "Enforced invariants".
 lint:
 	$(GO) run ./cmd/catalyzer-vet ./...
 
@@ -104,7 +104,12 @@ bench:
 bench-compare:
 	bash bench/run.sh compare $(OLD) $(NEW)
 
-ci: vet staticcheck lint race
+# Unit tests of the benchmark module, which builds against the root
+# package's API.
+bench-test:
+	cd bench && $(GO) test ./...
+
+ci: vet staticcheck lint race bench-test
 
 clean:
 	$(GO) clean ./...
