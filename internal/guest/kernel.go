@@ -39,9 +39,16 @@ func IsCritical(kind uint8) bool {
 
 // Kernel is one sandbox's guest kernel.
 type Kernel struct {
-	env     *simenv.Env
+	env *simenv.Env
+	// The object graph is held in one of two forms. A kernel restored by
+	// separated state recovery keeps its private, fixed-up record region
+	// in rec — the mapped state is the live state — and objects is nil;
+	// readers decode rec on demand and the first mutation materializes
+	// it into objects (setting rec to nil). Every other kernel holds
+	// objects and a nil rec.
 	objects []serial.Object
-	byKind  map[uint8]int
+	rec     *serial.Records
+	byKind  [KindMisc + 1]int
 
 	Mounts vfs.MountTable
 	Conns  *vfs.ConnTable
@@ -55,7 +62,6 @@ type Kernel struct {
 func NewKernel(env *simenv.Env, seed uint64, baseObjects int) *Kernel {
 	k := &Kernel{
 		env:      env,
-		byKind:   make(map[uint8]int),
 		Conns:    vfs.NewConnTable(env),
 		rngState: seed | 1,
 	}
@@ -89,6 +95,7 @@ func (k *Kernel) rng() uint64 {
 // deterministic functions of the kernel seed, tuned so the serialized
 // record averages ~18 bytes (Table 3).
 func (k *Kernel) CreateObjects(kind uint8, n int) {
+	k.materialize()
 	for i := 0; i < n; i++ {
 		k.env.Charge(k.env.Cost.GuestKernelObjectInit)
 		id := serial.ObjectID(len(k.objects))
@@ -116,10 +123,20 @@ func (k *Kernel) CreateObjects(kind uint8, n int) {
 }
 
 // ObjectCount returns the total number of kernel objects.
-func (k *Kernel) ObjectCount() int { return len(k.objects) }
+func (k *Kernel) ObjectCount() int {
+	if k.rec != nil {
+		return len(k.rec.Index)
+	}
+	return len(k.objects)
+}
 
 // KindCount returns the number of objects of one kind.
-func (k *Kernel) KindCount(kind uint8) int { return k.byKind[kind] }
+func (k *Kernel) KindCount(kind uint8) int {
+	if int(kind) >= len(k.byKind) {
+		return 0
+	}
+	return k.byKind[kind]
+}
 
 // CriticalCount returns the number of critical objects (tasks, threads,
 // timers).
@@ -142,8 +159,9 @@ func (k *Kernel) Mount(m vfs.Mount) error {
 // identical guest-kernel state.
 func (k *Kernel) Signature() uint64 {
 	var sig uint64 = 14695981039346656037
-	for i := range k.objects {
-		o := &k.objects[i]
+	objs := k.graph()
+	for i := range objs {
+		o := &objs[i]
 		sig = sig*1099511628211 ^ uint64(o.Kind)
 		for _, b := range o.Payload {
 			sig = sig*1099511628211 ^ uint64(b)
@@ -157,29 +175,49 @@ func (k *Kernel) Signature() uint64 {
 
 // Objects returns a copy of the object graph (tests and image builders).
 func (k *Kernel) Objects() []serial.Object {
-	out := make([]serial.Object, len(k.objects))
-	copy(out, k.objects)
-	return out
+	return append([]serial.Object(nil), k.graph()...)
+}
+
+// graph returns the object graph without writing to k: the materialized
+// objects, or a fresh decode of the restored record region. Concurrent
+// sforks read template kernels, so a decode here is never cached.
+func (k *Kernel) graph() []serial.Object {
+	if k.rec == nil {
+		return k.objects
+	}
+	objs, err := serial.DecodeRecords(k.rec)
+	if err != nil {
+		panic(err) // unreachable: RestoreSeparated validated the region
+	}
+	return objs
+}
+
+// materialize turns a restored record region into the objects slice
+// before the kernel's first mutation.
+func (k *Kernel) materialize() {
+	if k.rec != nil {
+		k.objects, k.rec = k.graph(), nil
+	}
 }
 
 // CloneShared returns the sforked child's view of this kernel: the object
 // graph is shared (it lives in CoW memory, so sharing is free until a
 // write), the connection table is cloned with descriptors intact. The
 // object graph is immutable after the func-entry point in this model, so
-// sharing the slice is sound.
+// sharing it is sound. The shared slice is clipped to its length, so a
+// child that does append copies instead of writing into spare capacity
+// its siblings also see.
 func (k *Kernel) CloneShared() *Kernel {
-	c := &Kernel{
+	n := len(k.objects)
+	return &Kernel{
 		env:      k.env,
-		objects:  k.objects,
-		byKind:   make(map[uint8]int, len(k.byKind)),
+		objects:  k.objects[:n:n],
+		rec:      k.rec,
+		byKind:   k.byKind,
+		Mounts:   k.Mounts,
 		Conns:    k.Conns.Clone(),
 		rngState: k.rngState,
 	}
-	for kind, n := range k.byKind {
-		c.byKind[kind] = n
-	}
-	c.Mounts = k.Mounts
-	return c
 }
 
 // --- checkpoint & restore ----------------------------------------------------
@@ -202,13 +240,14 @@ type Checkpoint struct {
 // is charged against the current clock, but callers invoke it outside the
 // measured boot window).
 func (k *Kernel) Capture() (*Checkpoint, error) {
-	k.env.ChargeN(k.env.Cost.ObjectEncode, len(k.objects))
-	baseline, bstats, err := serial.EncodeBaseline(k.objects)
+	objs := k.graph()
+	k.env.ChargeN(k.env.Cost.ObjectEncode, len(objs))
+	baseline, bstats, err := serial.EncodeBaseline(objs)
 	if err != nil {
 		return nil, fmt.Errorf("guest: capture baseline: %w", err)
 	}
 	k.env.ChargeN(k.env.Cost.CompressPerKB, (bstats.Bytes+1023)/1024)
-	records, rstats, err := serial.EncodeRecords(k.objects)
+	records, rstats, err := serial.EncodeRecords(objs)
 	if err != nil {
 		return nil, fmt.Errorf("guest: capture records: %w", err)
 	}
@@ -235,38 +274,58 @@ func RestoreBaseline(env *simenv.Env, cp *Checkpoint) (*Kernel, error) {
 		return nil, fmt.Errorf("guest: restore baseline: %w", err)
 	}
 	env.ChargeN(env.Cost.ObjectDecode, stats.Objects)
-	k := kernelFromObjects(env, objs, cp.Seed)
-	if err := restoreMounts(k, cp); err != nil {
-		return nil, err
+	var kinds [256]int
+	for i := range objs {
+		kinds[objs[i].Kind]++
+	}
+	return restoredKernel(env, cp, &kinds, objs, nil)
+}
+
+// restoredKernel assembles a restored kernel around its object graph —
+// decoded objects, or a fixed-up record region — after checking that
+// every object has a known kind, and rebuilds the guest's mount-table
+// view from the checkpoint (the host-side mount work is charged by the
+// boot path).
+func restoredKernel(env *simenv.Env, cp *Checkpoint, kinds *[256]int, objs []serial.Object, rec *serial.Records) (*Kernel, error) {
+	k := &Kernel{
+		env:      env,
+		objects:  objs,
+		rec:      rec,
+		Conns:    vfs.NewConnTable(env),
+		rngState: cp.Seed | 1,
+	}
+	for kind, n := range kinds {
+		if n == 0 {
+			continue
+		}
+		if kind < int(KindTask) || kind > int(KindMisc) {
+			return nil, fmt.Errorf("guest: restore: %d objects of unknown kind %d", n, kind)
+		}
+		k.byKind[kind] = n
+	}
+	if len(cp.MountRecords) > 0 {
+		mt, err := vfs.RestoreMounts(cp.MountRecords)
+		if err != nil {
+			return nil, fmt.Errorf("guest: restore mounts: %w", err)
+		}
+		k.Mounts = *mt
 	}
 	return k, nil
 }
 
-// restoreMounts rebuilds the guest's mount-table view from the
-// checkpoint (the host-side mount work is charged by the boot path).
-func restoreMounts(k *Kernel, cp *Checkpoint) error {
-	if len(cp.MountRecords) == 0 {
-		return nil
-	}
-	mt, err := vfs.RestoreMounts(cp.MountRecords)
-	if err != nil {
-		return fmt.Errorf("guest: restore mounts: %w", err)
-	}
-	k.Mounts = *mt
-	return nil
-}
-
 // RestoreSeparated rebuilds a kernel's object graph with separated state
 // recovery (§3.2): map the record region, replay the relation table in
-// parallel, and establish critical non-I/O system state. The I/O
-// connection table is attached by the caller per its reconnection policy
-// (§3.3).
+// parallel, and establish critical non-I/O system state. The fixed-up
+// region becomes the kernel's object graph as it is; one validating
+// pass counts its kinds and no object is decoded. The I/O connection
+// table is attached by the caller per its reconnection policy (§3.3).
 func RestoreSeparated(env *simenv.Env, cp *Checkpoint) (*Kernel, error) {
 	// Stage 1: map the partially-deserialized objects.
 	regionKB := (len(cp.Records.Region) + 1023) / 1024
 	env.ChargeN(env.Cost.MetadataMapPerKB, regionKB)
 
-	// Work on a copy of the region: the mapped image is shared and CoW.
+	// Work on a private copy of the region: the mapped image is shared
+	// and CoW.
 	rec := &serial.Records{
 		Region:    append([]byte(nil), cp.Records.Region...),
 		Relations: cp.Records.Relations,
@@ -283,27 +342,9 @@ func RestoreSeparated(env *simenv.Env, cp *Checkpoint) (*Kernel, error) {
 	// Critical non-I/O system state is established on the critical path.
 	env.ChargeN(env.Cost.CriticalObjectRecover, cp.CriticalCount)
 
-	objs, err := serial.DecodeRecords(rec)
-	if err != nil {
-		return nil, fmt.Errorf("guest: decode records: %w", err)
+	var kinds [256]int
+	if err := serial.ValidateRecords(rec, &kinds); err != nil {
+		return nil, fmt.Errorf("guest: validate records: %w", err)
 	}
-	k := kernelFromObjects(env, objs, cp.Seed)
-	if err := restoreMounts(k, cp); err != nil {
-		return nil, err
-	}
-	return k, nil
-}
-
-func kernelFromObjects(env *simenv.Env, objs []serial.Object, seed uint64) *Kernel {
-	k := &Kernel{
-		env:      env,
-		objects:  objs,
-		byKind:   make(map[uint8]int),
-		Conns:    vfs.NewConnTable(env),
-		rngState: seed | 1,
-	}
-	for i := range objs {
-		k.byKind[objs[i].Kind]++
-	}
-	return k
+	return restoredKernel(env, cp, &kinds, nil, rec)
 }

@@ -1,6 +1,8 @@
 package guest
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -168,6 +170,121 @@ func TestSeparatedRestoreRoundTrip(t *testing.T) {
 	}
 	if r.Signature() != k.Signature() {
 		t.Fatal("separated restore changed kernel state")
+	}
+	if r.ObjectCount() != k.ObjectCount() || r.byKind != k.byKind {
+		t.Fatalf("restored %d objects by kind %v, want %d by kind %v", r.ObjectCount(), r.byKind, k.ObjectCount(), k.byKind)
+	}
+	if r.objects != nil || r.rec == nil {
+		t.Fatal("restore or a reader materialized the object graph")
+	}
+}
+
+// Readers of a restored template kernel write nothing to it, so sforks
+// can read it concurrently (run under -race) while their children mutate
+// their own copies.
+func TestRestoredKernelConcurrentReaders(t *testing.T) {
+	k := typedKernel(t)
+	cp, err := k.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl, err := RestoreSeparated(newEnv(), cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := k.Signature()
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if tmpl.Signature() != want {
+				errs[i] = fmt.Errorf("reader %d: signature differs", i)
+				return
+			}
+			if _, err := tmpl.TaskTable(); err != nil {
+				errs[i] = err
+				return
+			}
+			child := tmpl.CloneShared()
+			_, errs[i] = child.NewThread(0)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tmpl.rec == nil || tmpl.Signature() != want {
+		t.Fatal("children's mutations reached the template")
+	}
+}
+
+// A separated restore decodes no object, so its allocations do not grow
+// with the kernel: a 1k-object and a 40k-object kernel cost the same.
+func TestRestoreSeparatedAllocsConstant(t *testing.T) {
+	var got []float64
+	for _, n := range []int{1000, 40000} {
+		cp, err := NewKernel(newEnv(), 11, n).Capture()
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := newEnv()
+		got = append(got, testing.AllocsPerRun(10, func() {
+			if _, err := RestoreSeparated(env, cp); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if got[0] != got[1] {
+		t.Fatalf("allocs per RestoreSeparated: %v at 1k objects, %v at 40k objects; want one constant", got[0], got[1])
+	}
+}
+
+// Both restore paths reject an object whose kind is not one of
+// KindTask..KindMisc instead of counting it.
+func TestRestoreRejectsUnknownKind(t *testing.T) {
+	for _, kind := range []uint8{0, KindMisc + 1, 255} {
+		objs := []serial.Object{
+			{ID: 0, Kind: KindTask, Payload: []byte{'T', 0xFF, 0xFF, 0xFF, 0xFF}},
+			{ID: 1, Kind: kind, Payload: []byte{1, 2, 3, 4}, Refs: []serial.ObjectID{0}},
+		}
+		baseline, _, err := serial.EncodeBaseline(objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records, _, err := serial.EncodeRecords(objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := &Checkpoint{Baseline: baseline, Records: records}
+		for name, restore := range map[string]func(*simenv.Env, *Checkpoint) (*Kernel, error){
+			"baseline":  RestoreBaseline,
+			"separated": RestoreSeparated,
+		} {
+			if _, err := restore(newEnv(), cp); err == nil {
+				t.Errorf("%s restore accepted an object of kind %d", name, kind)
+			}
+		}
+	}
+}
+
+func TestRestoreSeparatedCorruptRegion(t *testing.T) {
+	cp, err := buildKernel(newEnv(), 500).Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := cp.Records.Region
+	for name, rec := range map[string]*serial.Records{
+		"index past region": {Region: region, Index: []uint64{uint64(len(region)) + 1}},
+		"truncated record":  {Region: region[:len(region)-1], Index: cp.Records.Index},
+	} {
+		bad := &Checkpoint{Records: rec}
+		if _, err := RestoreSeparated(newEnv(), bad); err == nil {
+			t.Errorf("%s: separated restore succeeded", name)
+		}
 	}
 }
 

@@ -78,6 +78,7 @@ func (k *Kernel) NewTimer(task int32, intervalMS uint16) (int32, error) {
 
 // addTyped appends a typed object, charging construction cost.
 func (k *Kernel) addTyped(kind uint8, payload []byte, refs []serial.ObjectID) {
+	k.materialize()
 	k.env.Charge(k.env.Cost.GuestKernelObjectInit)
 	id := serial.ObjectID(len(k.objects))
 	k.objects = append(k.objects, serial.Object{ID: id, Kind: kind, Payload: payload, Refs: refs})
@@ -90,12 +91,13 @@ func (k *Kernel) taskObject(idx int32) (serial.ObjectID, error) {
 		return 0, fmt.Errorf("guest: negative task index %d", idx)
 	}
 	seen := int32(0)
-	for i := range k.objects {
-		if k.objects[i].Kind != KindTask {
+	objs := k.graph()
+	for i := range objs {
+		if objs[i].Kind != KindTask {
 			continue
 		}
 		if seen == idx {
-			return k.objects[i].ID, nil
+			return objs[i].ID, nil
 		}
 		seen++
 	}
@@ -135,8 +137,9 @@ type TaskTable struct {
 // how tests prove restore preserves system state, not just bytes.
 func (k *Kernel) TaskTable() (*TaskTable, error) {
 	t := &TaskTable{}
-	for i := range k.objects {
-		o := &k.objects[i]
+	objs := k.graph()
+	for i := range objs {
+		o := &objs[i]
 		switch o.Kind {
 		case KindTask:
 			if len(o.Payload) != 5 || o.Payload[0] != tagTask {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"catalyzer/internal/serial"
 	"catalyzer/internal/vfs"
 )
 
@@ -130,6 +131,68 @@ func TestTaskTableSharedAcrossSfork(t *testing.T) {
 	}
 }
 
+// Sforked children share the parent's object slice clipped to its
+// length, so two children that each append a task get distinct tables
+// even when the parent's slice has spare capacity.
+func TestCloneSharedChildrenAppendIndependently(t *testing.T) {
+	k := typedKernel(t)
+	k.objects = append(make([]serial.Object, 0, len(k.objects)+8), k.objects...)
+	a, b := k.CloneShared(), k.CloneShared()
+	if _, err := a.NewTask(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.NewTask(1); err != nil {
+		t.Fatal(err)
+	}
+	want, err := k.TaskTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		child  *Kernel
+		parent int32
+	}{"a": {a, 0}, "b": {b, 1}} {
+		got, err := tc.child.TaskTable()
+		if err != nil {
+			t.Fatalf("child %s: %v", name, err)
+		}
+		n := len(want.Tasks)
+		if len(got.Tasks) != n+1 || got.Tasks[n].Parent != tc.parent {
+			t.Fatalf("child %s tasks = %+v, want the parent's %d plus one under task %d", name, got.Tasks, n, tc.parent)
+		}
+	}
+	if after, err := k.TaskTable(); err != nil || !after.Equal(want) {
+		t.Fatalf("children changed the parent's task table: %v", err)
+	}
+}
+
+// A restored kernel keeps its record region until the first mutation,
+// which materializes the graph once and then behaves like a built one.
+func TestRestoredKernelMaterializesOnMutation(t *testing.T) {
+	k := typedKernel(t)
+	cp, err := k.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RestoreSeparated(newEnv(), cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := r.CloneShared()
+	if _, err := r.NewTask(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.NewTask(2); err != nil {
+		t.Fatal(err)
+	}
+	if r.rec != nil || r.Signature() != k.Signature() || r.ObjectCount() != k.ObjectCount() {
+		t.Fatal("mutating a restored kernel diverged from mutating the original")
+	}
+	if child.rec == nil || child.ObjectCount() != k.ObjectCount()-1 {
+		t.Fatal("mutating a restored kernel changed its sforked child")
+	}
+}
+
 func TestTaskTableRejectsMalformedState(t *testing.T) {
 	k := typedKernel(t)
 	cp, err := k.Capture()
@@ -140,12 +203,21 @@ func TestTaskTableRejectsMalformedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt a task payload in the restored kernel.
-	for i := range r.objects {
-		if r.objects[i].Kind == KindTask {
-			r.objects[i].Payload = []byte{0xFF}
+	// Corrupt a task payload's type tag inside the restored kernel's
+	// record region, which is its object graph.
+	if r.rec == nil || r.objects != nil {
+		t.Fatal("separated restore materialized the object graph")
+	}
+	corrupted := false
+	for _, off := range r.rec.Index {
+		if r.rec.Region[off+4] == KindTask { // record header: u32 id, u8 kind, u16 len
+			r.rec.Region[off+7] = 0xFF
+			corrupted = true
 			break
 		}
+	}
+	if !corrupted {
+		t.Fatal("no task record in the restored region")
 	}
 	if _, err := r.TaskTable(); err == nil {
 		t.Fatal("malformed task payload accepted")

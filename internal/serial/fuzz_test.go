@@ -1,6 +1,8 @@
 package serial
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -40,7 +42,10 @@ func FuzzDecodeBaseline(f *testing.F) {
 }
 
 // FuzzDecodeRecords hardens the mapped-records path: arbitrary region
-// bytes with arbitrary indices must never panic.
+// bytes with arbitrary indices must never panic. It is also differential:
+// DecodeRecords must agree with one-by-one readRecord decoding, and the
+// validating pass must accept exactly the same inputs and count exactly
+// the decoded objects' kinds.
 func FuzzDecodeRecords(f *testing.F) {
 	rec, _, err := EncodeRecords(genGraph(50, 3))
 	if err != nil {
@@ -59,6 +64,44 @@ func FuzzDecodeRecords(f *testing.F) {
 		for off := 0; off < len(region) && len(r.Index) < int(nidx); off += step {
 			r.Index = append(r.Index, uint64(off))
 		}
-		_, _ = DecodeRecords(r) // must not panic
+		objs, err := DecodeRecords(r)
+		want, wantErr := decodeOneByOne(r)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("DecodeRecords err = %v, one-by-one err = %v", err, wantErr)
+		}
+		var kinds [256]int
+		if verr := ValidateRecords(r, &kinds); (verr == nil) != (err == nil) {
+			t.Fatalf("ValidateRecords err = %v, DecodeRecords err = %v", verr, err)
+		}
+		if err != nil {
+			return
+		}
+		if !Equal(objs, want) {
+			t.Fatal("DecodeRecords disagrees with one-by-one decoding")
+		}
+		var counted [256]int
+		for _, o := range objs {
+			counted[o.Kind]++
+		}
+		if kinds != counted {
+			t.Fatal("ValidateRecords kind counts differ from the decoded objects")
+		}
 	})
+}
+
+// decodeOneByOne is the reference decoder: a fresh reader and fresh
+// payload and ref slices per record.
+func decodeOneByOne(rec *Records) ([]Object, error) {
+	objs := make([]Object, 0, len(rec.Index))
+	for i, off := range rec.Index {
+		if off > uint64(len(rec.Region)) {
+			return nil, fmt.Errorf("record %d offset out of range", i)
+		}
+		o, err := readRecord(bytes.NewReader(rec.Region[off:]))
+		if err != nil {
+			return nil, fmt.Errorf("record %d: %w", i, err)
+		}
+		objs = append(objs, o)
+	}
+	return objs, nil
 }

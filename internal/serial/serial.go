@@ -15,6 +15,12 @@
 //     is a map plus an embarrassingly parallel fixup pass over the
 //     relation table.
 //
+// A separated-state restore decodes no object: after FixupRecords, one
+// ValidateRecords pass checks every record and counts kinds, and the
+// fixed-up region is the restored kernel's object graph. DecodeRecords
+// turns a region into objects only when a reader walks the whole graph
+// or a mutation needs a slice to append to.
+//
 // This package does the real byte-level work — tests verify the two
 // formats are interchangeable (graph-isomorphic round trips) and the
 // root-level benchmarks measure their real CPU asymmetry.
@@ -217,7 +223,6 @@ func EncodeRecords(objs []Object) (*Records, Stats, error) {
 			return nil, Stats{}, fmt.Errorf("serial: object %d has non-dense ID %d", i, objs[i].ID)
 		}
 		rec.Index = append(rec.Index, uint64(buf.Len()))
-		start := uint64(buf.Len())
 		if err := writeRecord(&buf, &objs[i], true); err != nil {
 			return nil, Stats{}, err
 		}
@@ -235,7 +240,6 @@ func EncodeRecords(objs []Object) (*Records, Stats, error) {
 				Target:     uint32(ref),
 			})
 		}
-		_ = start
 	}
 	rec.Region = buf.Bytes()
 	stats := Stats{Objects: len(objs), Relations: len(rec.Relations), Bytes: rec.Size()}
@@ -256,25 +260,64 @@ func FixupRecords(rec *Records) (int, error) {
 	return len(rec.Relations), nil
 }
 
-// DecodeRecords materializes objects from a fixed-up region. Unlike
-// DecodeBaseline this walks an index of already-laid-out records — there
-// is no per-object allocation-and-resolve step in the simulated system
-// (the region *is* the live state); materialization here exists so tests
-// can verify graph isomorphism.
+// ValidateRecords is the validating pass of a separated-state restore. It
+// checks every record rec.Index points at, rejecting exactly what
+// DecodeRecords rejects, and adds one to kinds[k] for each record of kind
+// k. It decodes nothing and allocates only to report an error.
+func ValidateRecords(rec *Records, kinds *[256]int) error {
+	_, err := scanRecords(rec, kinds)
+	return err
+}
+
+// DecodeRecords materializes objects from a fixed-up region in bulk: one
+// validating pass, then a single []Object and a single []ObjectID arena
+// holding every object's refs. Payloads alias rec.Region (capacity capped
+// at their length, so an append copies), so they change if the region is
+// written. A restore does not call this — the fixed-up region is the
+// restored state — but a restored kernel does when a reader walks its
+// whole graph or a mutation first needs the slice.
 func DecodeRecords(rec *Records) ([]Object, error) {
-	objs := make([]Object, 0, len(rec.Index))
+	nrefs, err := scanRecords(rec, nil)
+	if err != nil {
+		return nil, err
+	}
+	objs := make([]Object, len(rec.Index))
+	refs := make([]ObjectID, nrefs)
 	for i, off := range rec.Index {
-		if off > uint64(len(rec.Region)) {
-			return nil, fmt.Errorf("serial: record %d offset out of range", i)
+		b := rec.Region[off:]
+		plen, n, _ := recordSpan(b) // cannot fail: scanRecords checked it
+		slots := b[recordHeaderBytes+plen+2:]
+		o := &objs[i]
+		o.ID = ObjectID(binary.LittleEndian.Uint32(b))
+		o.Kind = b[4]
+		o.Payload = b[recordHeaderBytes : recordHeaderBytes+plen : recordHeaderBytes+plen]
+		o.Refs, refs = refs[:n:n], refs[n:]
+		for j := range o.Refs {
+			o.Refs[j] = ObjectID(binary.LittleEndian.Uint32(slots[4*j:]))
 		}
-		r := bytes.NewReader(rec.Region[off:])
-		obj, err := readRecord(r)
-		if err != nil {
-			return nil, fmt.Errorf("serial: record %d: %w", i, err)
-		}
-		objs = append(objs, obj)
 	}
 	return objs, nil
+}
+
+// scanRecords checks every indexed record's bounds, counts kinds into
+// kinds when it is non-nil, and returns the total number of ref slots.
+func scanRecords(rec *Records, kinds *[256]int) (int, error) {
+	nrefs := 0
+	for i, off := range rec.Index {
+		if off > uint64(len(rec.Region)) {
+			return 0, fmt.Errorf("serial: record %d offset out of range", i)
+		}
+		b := rec.Region[off:]
+		_, n, err := recordSpan(b)
+		if err != nil {
+			return 0, fmt.Errorf("serial: record %d: %w", i, err)
+		}
+		if kinds != nil {
+			kinds[b[4]]++
+		}
+		nrefs += n
+	}
+	return nrefs, nil
 }
 
 // --- record wire format ------------------------------------------------------
@@ -283,6 +326,32 @@ func DecodeRecords(rec *Records) ([]Object, error) {
 //
 // In placeholder mode pointer slots are written as zeroes with NilRef
 // slots written as NilRef (so nil-ness survives without a relation entry).
+
+// recordHeaderBytes is the size of a record's id, kind and payloadLen.
+const recordHeaderBytes = 7
+
+// recordSpan bounds-checks the record at the start of b in place and
+// returns its payload length and ref count; it applies the same checks
+// as readRecord.
+func recordSpan(b []byte) (plen, nrefs int, err error) {
+	if len(b) < recordHeaderBytes {
+		return 0, 0, fmt.Errorf("header: %w", io.ErrUnexpectedEOF)
+	}
+	plen = int(binary.LittleEndian.Uint16(b[5:]))
+	rest := len(b) - recordHeaderBytes
+	if plen > rest {
+		return 0, 0, fmt.Errorf("payload length %d exceeds remaining %d", plen, rest)
+	}
+	rest -= plen
+	if rest < 2 {
+		return 0, 0, fmt.Errorf("nrefs: %w", io.ErrUnexpectedEOF)
+	}
+	nrefs = int(binary.LittleEndian.Uint16(b[recordHeaderBytes+plen:]))
+	if nrefs*4 > rest-2 {
+		return 0, 0, fmt.Errorf("ref count %d exceeds remaining bytes", nrefs)
+	}
+	return plen, nrefs, nil
+}
 
 func writeRecord(w *bytes.Buffer, o *Object, placeholders bool) error {
 	if len(o.Payload) > 0xFFFF {

@@ -127,6 +127,62 @@ func TestRecordsWithoutFixupHasPlaceholders(t *testing.T) {
 	}
 }
 
+// DecodeRecords decodes in bulk, so its allocations are a small constant
+// however many records the region holds, and the validating pass
+// allocates nothing.
+func TestDecodeRecordsAllocsConstant(t *testing.T) {
+	for _, n := range []int{1000, 40000} {
+		rec, _, err := EncodeRecords(genGraph(n, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := FixupRecords(rec); err != nil {
+			t.Fatal(err)
+		}
+		decode := testing.AllocsPerRun(10, func() {
+			if _, err := DecodeRecords(rec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		var kinds [256]int
+		validate := testing.AllocsPerRun(10, func() {
+			if err := ValidateRecords(rec, &kinds); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if decode > 4 || validate != 0 {
+			t.Fatalf("%d records: %v allocs per DecodeRecords (want ≤4), %v per ValidateRecords (want 0)", n, decode, validate)
+		}
+	}
+}
+
+// Payloads alias the region and refs share one arena, both with capped
+// capacity: appending to one object's slices must not overwrite the
+// record or the refs that follow it.
+func TestDecodeRecordsSlicesCapped(t *testing.T) {
+	objs := []Object{
+		{ID: 0, Kind: 1, Payload: []byte("ab"), Refs: []ObjectID{NilRef}},
+		{ID: 1, Kind: 2, Payload: []byte("cd"), Refs: []ObjectID{NilRef}},
+	}
+	rec, _, err := EncodeRecords(objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeRecords(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(got[0].Payload, 'X', 'X', 'X', 'X')
+	_ = append(got[0].Refs, 7)
+	again, err := DecodeRecords(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(got, objs) || !Equal(again, objs) {
+		t.Fatal("append through a decoded object overwrote its neighbour")
+	}
+}
+
 func TestFormatsAgree(t *testing.T) {
 	objs := genGraph(300, 3)
 	data, _, err := EncodeBaseline(objs)

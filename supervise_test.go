@@ -146,14 +146,21 @@ func TestWatchdogKillReleasesAdmissionSlot(t *testing.T) {
 // parks it with the typed ErrCrashLooping, and then — once the fault
 // clears and the virtual clock moves past the park backoff — the
 // function serves again and the park state resets.
+//
+// The park must outlast background work on the shared machine clock.
+// The third kill also reaches the poisoning verdict for c-hello's
+// template, whose asynchronous regen charges a template build (a cold
+// boot, tens of virtual ms) to that clock. A park shorter than that
+// build could expire before the fourth invoke's admission check
+// whenever the regen goroutine ran first, so the park is a second.
 func TestCrashLoopParksAndRecovers(t *testing.T) {
 	c := NewClient(
 		WithFaultSeed(3),
 		WithSupervision(SuperviseConfig{
 			CrashLoopThreshold: 3,
 			CrashLoopWindow:    10 * simtime.Second,
-			ParkBase:           10 * simtime.Millisecond,
-			ParkMax:            100 * simtime.Millisecond,
+			ParkBase:           simtime.Second,
+			ParkMax:            2 * simtime.Second,
 		}),
 	)
 	defer c.Close()
