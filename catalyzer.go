@@ -310,6 +310,12 @@ func (c *Client) Deploy(ctx context.Context, name string) error {
 // its offline artifacts. The name must not collide with a built-in
 // workload.
 func (c *Client) DeployCustom(ctx context.Context, doc []byte) (string, error) {
+	return deployCustom(ctx, doc, c.Deploy)
+}
+
+// deployCustom parses a JSON workload document, registers the spec and
+// deploys it with deploy, unregistering it again if the deploy fails.
+func deployCustom(ctx context.Context, doc []byte, deploy func(context.Context, string) error) (string, error) {
 	spec, err := workload.ParseSpec(doc)
 	if err != nil {
 		return "", err
@@ -317,7 +323,7 @@ func (c *Client) DeployCustom(ctx context.Context, doc []byte) (string, error) {
 	if err := workload.RegisterCustom(spec); err != nil {
 		return "", err
 	}
-	if err := c.Deploy(ctx, spec.Name); err != nil {
+	if err := deploy(ctx, spec.Name); err != nil {
 		workload.Unregister(spec.Name)
 		return "", err
 	}

@@ -11,14 +11,8 @@ import (
 
 func newFleetTestServer(t *testing.T) (*httptest.Server, *catalyzer.Fleet) {
 	t.Helper()
-	f, err := catalyzer.NewFleet(catalyzer.FleetConfig{Machines: 3, Replication: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(f.Close)
-	srv := httptest.NewServer(FleetHandler(f))
-	t.Cleanup(srv.Close)
-	return srv, f
+	f := newFleet(t, catalyzer.FleetConfig{Machines: 3, Replication: 2})
+	return serve(t, f), f
 }
 
 func TestFleetDeployInvokeAndMachines(t *testing.T) {
@@ -31,7 +25,7 @@ func TestFleetDeployInvokeAndMachines(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("invoke status = %d", resp.StatusCode)
 	}
-	var inv fleetInvokeResponse
+	var inv invokeResponse
 	if err := json.NewDecoder(resp.Body).Decode(&inv); err != nil {
 		t.Fatal(err)
 	}

@@ -11,39 +11,34 @@ import (
 	"catalyzer"
 )
 
-// TestValidateFlags pins the daemon's flag validation: the
-// single-machine -store-dir is rejected in fleet mode (per-machine
-// stores live under -fleet-store-dir), -fleet-store-dir must be an
-// absolute path and requires fleet mode, and a negative zygote pool is
-// rejected before any machine is built.
+// TestValidateFlags pins the daemon's flag validation: a negative
+// zygote pool, fewer than one machine, a zone count outside
+// 0..machines and a relative -fleet-store-dir are rejected before any
+// machine is built.
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
-		name          string
-		zygotePool    int
-		fleetMachines int
-		fleetZones    int
-		storeDir      string
-		fleetStoreDir string
-		wantErr       bool
+		name       string
+		zygotePool int
+		machines   int
+		zones      int
+		storeDir   string
+		wantErr    bool
 	}{
-		{"defaults", 4, 0, 0, "", "", false},
-		{"store only", 4, 0, 0, "/tmp/store", "", false},
-		{"fleet only", 4, 5, 0, "", "", false},
-		{"fleet with single-machine store", 4, 5, 0, "/tmp/store", "", true},
-		{"fleet with fleet store", 4, 5, 0, "", "/tmp/fleet", false},
-		{"fleet store without fleet", 4, 0, 0, "", "/tmp/fleet", true},
-		{"relative fleet store", 4, 5, 0, "", "fleet-store", true},
-		{"negative zygote pool", -1, 0, 0, "", "", true},
-		{"fleet with zones", 4, 6, 3, "", "", false},
-		{"zones without fleet", 4, 0, 3, "", "", true},
-		{"negative zones", 4, 6, -1, "", "", true},
-		{"more zones than machines", 4, 2, 3, "", "", true},
+		{"defaults", 4, 1, 0, "", false},
+		{"single machine with store", 4, 1, 0, "/tmp/fleet", false},
+		{"fleet with store", 4, 5, 0, "/tmp/fleet", false},
+		{"relative store", 4, 5, 0, "fleet-store", true},
+		{"negative zygote pool", -1, 1, 0, "", true},
+		{"no machines", 4, 0, 0, "", true},
+		{"fleet with zones", 4, 6, 3, "", false},
+		{"negative zones", 4, 6, -1, "", true},
+		{"more zones than machines", 4, 2, 3, "", true},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.zygotePool, c.fleetMachines, c.fleetZones, c.storeDir, c.fleetStoreDir)
+		err := validateFlags(c.zygotePool, c.machines, c.zones, c.storeDir)
 		if (err != nil) != c.wantErr {
-			t.Errorf("%s: validateFlags(%d, %d, %d, %q, %q) = %v, wantErr=%v",
-				c.name, c.zygotePool, c.fleetMachines, c.fleetZones, c.storeDir, c.fleetStoreDir, err, c.wantErr)
+			t.Errorf("%s: validateFlags(%d, %d, %d, %q) = %v, wantErr=%v",
+				c.name, c.zygotePool, c.machines, c.zones, c.storeDir, err, c.wantErr)
 		}
 	}
 }
@@ -91,15 +86,10 @@ func TestFleetErrorStatusMapping(t *testing.T) {
 // fully flaky fleet, /invoke answers a retryable 503 carrying
 // Retry-After, and /metrics surfaces the budget accounting.
 func TestFleetInvokeBudgetExhaustedOverHTTP(t *testing.T) {
-	f, err := catalyzer.NewFleet(catalyzer.FleetConfig{
+	f := newFleet(t, catalyzer.FleetConfig{
 		Machines: 3, Replication: 2, BudgetBurst: 1, BudgetRatio: 0.001,
 	}, catalyzer.WithFaultSeed(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(f.Close)
-	srv := httptest.NewServer(FleetHandler(f))
-	t.Cleanup(srv.Close)
+	srv := serve(t, f)
 
 	if resp := post(t, srv, "/deploy?fn=c-hello"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("deploy status = %d", resp.StatusCode)
@@ -135,13 +125,9 @@ func TestFleetInvokeBudgetExhaustedOverHTTP(t *testing.T) {
 // and checks /health downgrades to 200 "brownout" with the ejected
 // member listed, and /machines carries its ejected flag and score.
 func TestFleetHealthReportsBrownout(t *testing.T) {
-	f, err := catalyzer.NewFleet(catalyzer.FleetConfig{
+	f := newFleet(t, catalyzer.FleetConfig{
 		Machines: 5, Replication: 2, MinEjectSamples: 3, ScoreWarmup: 4,
 	}, catalyzer.WithFaultSeed(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(f.Close)
 
 	ctx := context.Background()
 	funcs := []string{"c-hello", "java-hello", "nodejs-hello", "python-hello"}
@@ -163,8 +149,7 @@ func TestFleetHealthReportsBrownout(t *testing.T) {
 		t.Fatalf("victim %d never ejected: %+v", victim, f.FleetStats())
 	}
 
-	srv := httptest.NewServer(FleetHandler(f))
-	t.Cleanup(srv.Close)
+	srv := serve(t, f)
 	hresp, err := http.Get(srv.URL + "/health")
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -92,212 +93,188 @@ func checkKeys(t *testing.T, srv *httptest.Server, path string, want []string) {
 	}
 }
 
-// TestMetricsKeySetSingleMachine pins every JSON key path of /metrics
-// and /health in single-machine mode, with every map-valued section
-// populated: a store-backed client that ran Recover, and a fault armed
-// so breakers, fallbacks and injection counts have entries.
-func TestMetricsKeySetSingleMachine(t *testing.T) {
-	c, err := catalyzer.NewClientWithStore(t.TempDir(), catalyzer.WithFaultSeed(3))
-	if err != nil {
-		t.Fatal(err)
+// TestMetricsKeySet pins every JSON key path of /metrics and /health,
+// with every map-valued section populated, on two fleets: one machine
+// that is store-backed, recovered and fault-armed (the daemon's
+// single-machine shape), and three machines over two zones. Both serve
+// the same key set.
+func TestMetricsKeySet(t *testing.T) {
+	for _, cfg := range []catalyzer.FleetConfig{
+		{Machines: 1, StoreDir: t.TempDir()},
+		{Machines: 3, Replication: 2, Zones: 2},
+	} {
+		t.Run(fmt.Sprintf("%d-machines", cfg.Machines), func(t *testing.T) {
+			f := newFleet(t, cfg, catalyzer.WithFaultSeed(3))
+			if _, err := f.Recover(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			srv := serve(t, f)
+			post(t, srv, "/deploy?fn=c-hello")
+			if err := f.ArmFault("sfork", 1); err != nil {
+				t.Fatal(err)
+			}
+			for _, boot := range []string{"fork", "warm", "cold"} {
+				if resp := post(t, srv, "/invoke?fn=c-hello&boot="+boot); resp.StatusCode != http.StatusOK {
+					t.Fatalf("invoke %s = %d", boot, resp.StatusCode)
+				}
+			}
+			checkKeys(t, srv, "/metrics", metricsKeys)
+			checkKeys(t, srv, "/health", healthKeys)
+		})
 	}
-	if _, err := c.Recover(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(Handler(c))
-	t.Cleanup(func() { srv.Close(); c.Close() })
-	post(t, srv, "/deploy?fn=c-hello")
-	if err := c.ArmFault("sfork", 1); err != nil {
-		t.Fatal(err)
-	}
-	for _, boot := range []string{"fork", "warm", "cold"} {
-		if resp := post(t, srv, "/invoke?fn=c-hello&boot="+boot); resp.StatusCode != http.StatusOK {
-			t.Fatalf("invoke %s = %d", boot, resp.StatusCode)
-		}
-	}
-
-	checkKeys(t, srv, "/metrics", []string{
-		"boots",
-		"boots.*",
-		"boots.*.count",
-		"boots.*.max_ms",
-		"boots.*.mean_ms",
-		"boots.*.p50_ms",
-		"boots.*.p95_ms",
-		"boots.*.p99_ms",
-		"failures",
-		"failures.aborted",
-		"failures.backoff_total_ms",
-		"failures.boot_failures",
-		"failures.boot_failures.*",
-		"failures.breaker_skips",
-		"failures.breaker_trips",
-		"failures.breakers",
-		"failures.breakers.*",
-		"failures.exhausted",
-		"failures.fallbacks",
-		"failures.fallbacks.*",
-		"failures.image_load_faults",
-		"failures.image_rebuild_failures",
-		"failures.image_rebuilds",
-		"failures.image_save_failures",
-		"failures.images_quarantined",
-		"failures.injected_faults",
-		"failures.injected_faults.*",
-		"failures.injected_faults.*.checks",
-		"failures.injected_faults.*.injected",
-		"failures.keep_warm_evictions",
-		"failures.memory_reclaims",
-		"failures.orphans_swept",
-		"failures.retries",
-		"failures.rollbacks",
-		"failures.scrub_quarantined",
-		"failures.scrub_repaired",
-		"failures.template_rebuild_failures",
-		"failures.template_regen_failures",
-		"failures.template_regens",
-		"failures.templates_poisoned",
-		"failures.templates_quarantined",
-		"failures.templates_retired",
-		"failures.watchdog_kills",
-		"overload",
-		"overload.admitted",
-		"overload.canceled",
-		"overload.draining",
-		"overload.expired",
-		"overload.in_flight",
-		"overload.in_flight_per_function",
-		"overload.queue_depth",
-		"overload.queue_peak",
-		"overload.shed",
-		"recovery",
-		"recovery.failed",
-		"recovery.recovered",
-		"recovery.recovered_functions",
-		"supervise",
-		"supervise.crash_loop_rejects",
-		"supervise.crash_loops_parked",
-		"supervise.parked_functions",
-		"supervise.probes_run",
-		"supervise.targets_probed",
-		"supervise.wedged_evicted",
-	})
-	checkKeys(t, srv, "/health", []string{
-		"exhausted_boots",
-		"images_quarantined",
-		"live_instances",
-		"open_breakers",
-		"parked_functions",
-		"recovered_functions",
-		"rollbacks",
-		"status",
-		"templates_poisoned",
-		"templates_quarantined",
-		"watchdog_kills",
-	})
 }
 
-// TestMetricsKeySetFleet pins every JSON key path of /metrics and
-// /health in fleet mode.
-func TestMetricsKeySetFleet(t *testing.T) {
-	f, err := catalyzer.NewFleet(catalyzer.FleetConfig{Machines: 3, Replication: 2, Zones: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(f.Close)
-	srv := httptest.NewServer(FleetHandler(f))
-	t.Cleanup(srv.Close)
-	post(t, srv, "/deploy?fn=c-hello")
-	for _, boot := range []string{"fork", "warm", "cold"} {
-		if resp := post(t, srv, "/invoke?fn=c-hello&boot="+boot); resp.StatusCode != http.StatusOK {
-			t.Fatalf("invoke %s = %d", boot, resp.StatusCode)
-		}
-	}
+// metricsKeys is every /metrics key path.
+var metricsKeys = []string{
+	"boots",
+	"boots.*",
+	"boots.*.count",
+	"boots.*.max_ms",
+	"boots.*.mean_ms",
+	"boots.*.p50_ms",
+	"boots.*.p95_ms",
+	"boots.*.p99_ms",
+	"failures",
+	"failures.aborted",
+	"failures.backoff_total_ms",
+	"failures.boot_failures",
+	"failures.boot_failures.*",
+	"failures.breaker_skips",
+	"failures.breaker_trips",
+	"failures.breakers",
+	"failures.breakers.*",
+	"failures.exhausted",
+	"failures.fallbacks",
+	"failures.fallbacks.*",
+	"failures.image_load_faults",
+	"failures.image_rebuild_failures",
+	"failures.image_rebuilds",
+	"failures.image_save_failures",
+	"failures.images_quarantined",
+	"failures.injected_faults",
+	"failures.injected_faults.*",
+	"failures.injected_faults.*.checks",
+	"failures.injected_faults.*.injected",
+	"failures.keep_warm_evictions",
+	"failures.memory_reclaims",
+	"failures.orphans_swept",
+	"failures.retries",
+	"failures.rollbacks",
+	"failures.scrub_quarantined",
+	"failures.scrub_repaired",
+	"failures.template_rebuild_failures",
+	"failures.template_regen_failures",
+	"failures.template_regens",
+	"failures.templates_poisoned",
+	"failures.templates_quarantined",
+	"failures.templates_retired",
+	"failures.watchdog_kills",
+	"fleet",
+	"fleet.brownout_serves",
+	"fleet.budget_denials",
+	"fleet.budget_spent",
+	"fleet.crashes",
+	"fleet.deployed",
+	"fleet.divergent_quarantined",
+	"fleet.down",
+	"fleet.ejected_machines",
+	"fleet.ejection_probes",
+	"fleet.ejections",
+	"fleet.ejections_deferred",
+	"fleet.failovers",
+	"fleet.flaky_dispatches",
+	"fleet.functions_recovered",
+	"fleet.gray_dispatches",
+	"fleet.hedge_losers_lingered",
+	"fleet.hedge_wins",
+	"fleet.hedges",
+	"fleet.image_pulls",
+	"fleet.invoke_max_ms",
+	"fleet.invoke_p50_ms",
+	"fleet.invoke_p99_ms",
+	"fleet.live_per_machine",
+	"fleet.local_builds",
+	"fleet.machines",
+	"fleet.membership_probes",
+	"fleet.partitions",
+	"fleet.readmissions",
+	"fleet.recover_failures",
+	"fleet.rejoins",
+	"fleet.repair_failures",
+	"fleet.repair_peak_in_flight",
+	"fleet.repair_queue_depth",
+	"fleet.repairs_deferred",
+	"fleet.replays",
+	"fleet.replicas_lost",
+	"fleet.rereplications",
+	"fleet.retries",
+	"fleet.rolling_crashes",
+	"fleet.scenario_steps",
+	"fleet.served_per_machine",
+	"fleet.slow_dispatches",
+	"fleet.spills",
+	"fleet.split_dispatches",
+	"fleet.stale_repulls",
+	"fleet.stores_recovered",
+	"fleet.template_forks",
+	"fleet.torn_stores",
+	"fleet.unreachable_dispatches",
+	"fleet.up",
+	"fleet.zone_degraded_errors",
+	"fleet.zone_down_dispatches",
+	"fleet.zone_spread_violations",
+	"fleet.zones",
+	"fleet.zones_down",
+	"overload",
+	"overload.admitted",
+	"overload.canceled",
+	"overload.draining",
+	"overload.expired",
+	"overload.in_flight",
+	"overload.in_flight_per_function",
+	"overload.queue_depth",
+	"overload.queue_peak",
+	"overload.shed",
+	"recovery",
+	"recovery.failed",
+	"recovery.recovered",
+	"recovery.recovered_functions",
+	"supervise",
+	"supervise.crash_loop_rejects",
+	"supervise.crash_loops_parked",
+	"supervise.parked_functions",
+	"supervise.probes_run",
+	"supervise.targets_probed",
+	"supervise.wedged_evicted",
+}
 
-	checkKeys(t, srv, "/metrics", []string{
-		"boots",
-		"boots.*",
-		"boots.*.count",
-		"boots.*.max_ms",
-		"boots.*.mean_ms",
-		"boots.*.p50_ms",
-		"boots.*.p95_ms",
-		"boots.*.p99_ms",
-		"fleet",
-		"fleet.brownout_serves",
-		"fleet.budget_denials",
-		"fleet.budget_spent",
-		"fleet.crashes",
-		"fleet.deployed",
-		"fleet.divergent_quarantined",
-		"fleet.down",
-		"fleet.ejected_machines",
-		"fleet.ejection_probes",
-		"fleet.ejections",
-		"fleet.ejections_deferred",
-		"fleet.failovers",
-		"fleet.flaky_dispatches",
-		"fleet.functions_recovered",
-		"fleet.gray_dispatches",
-		"fleet.hedge_losers_lingered",
-		"fleet.hedge_wins",
-		"fleet.hedges",
-		"fleet.image_pulls",
-		"fleet.invoke_max_ms",
-		"fleet.invoke_p50_ms",
-		"fleet.invoke_p99_ms",
-		"fleet.live_per_machine",
-		"fleet.local_builds",
-		"fleet.machines",
-		"fleet.membership_probes",
-		"fleet.partitions",
-		"fleet.readmissions",
-		"fleet.recover_failures",
-		"fleet.rejoins",
-		"fleet.repair_failures",
-		"fleet.repair_peak_in_flight",
-		"fleet.repair_queue_depth",
-		"fleet.repairs_deferred",
-		"fleet.replays",
-		"fleet.replicas_lost",
-		"fleet.rereplications",
-		"fleet.retries",
-		"fleet.rolling_crashes",
-		"fleet.scenario_steps",
-		"fleet.served_per_machine",
-		"fleet.slow_dispatches",
-		"fleet.spills",
-		"fleet.split_dispatches",
-		"fleet.stale_repulls",
-		"fleet.stores_recovered",
-		"fleet.template_forks",
-		"fleet.torn_stores",
-		"fleet.unreachable_dispatches",
-		"fleet.up",
-		"fleet.zone_degraded_errors",
-		"fleet.zone_down_dispatches",
-		"fleet.zone_spread_violations",
-		"fleet.zones",
-		"fleet.zones_down",
-	})
-	checkKeys(t, srv, "/health", []string{
-		"crashes",
-		"down_machines",
-		"ejected_machines",
-		"functions_recovered",
-		"live_instances",
-		"machines",
-		"recover_failures",
-		"rejoins",
-		"replicas_lost",
-		"status",
-		"stores_recovered",
-		"torn_stores",
-		"up",
-		"zones",
-		"zones[].down",
-		"zones[].up",
-		"zones[].zone",
-		"zones_down",
-	})
+// healthKeys is every /health key path.
+var healthKeys = []string{
+	"crashes",
+	"down_machines",
+	"ejected_machines",
+	"exhausted_boots",
+	"functions_recovered",
+	"images_quarantined",
+	"live_instances",
+	"machines",
+	"open_breakers",
+	"parked_functions",
+	"recover_failures",
+	"recovered_functions",
+	"rejoins",
+	"replicas_lost",
+	"rollbacks",
+	"status",
+	"stores_recovered",
+	"templates_poisoned",
+	"templates_quarantined",
+	"torn_stores",
+	"up",
+	"watchdog_kills",
+	"zones",
+	"zones[].down",
+	"zones[].up",
+	"zones[].zone",
+	"zones_down",
 }

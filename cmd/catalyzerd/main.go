@@ -1,83 +1,82 @@
 // Command catalyzerd runs the gateway daemon of §2.1 as an HTTP service:
-// it accepts "invoke function" requests, boots sandboxes through the
-// configured strategy, and reports per-invocation latency breakdowns.
+// it accepts "invoke function" requests, dispatches them to a fleet of
+// simulated machines (the multi-server deployment of §6.9), boots
+// sandboxes through the configured strategy, and reports per-invocation
+// latency breakdowns. There is one serving mode: a single machine is a
+// one-machine fleet, which is the default.
 //
 //	catalyzerd -addr :8080 -max-concurrent 64 -queue-depth 128
+//	catalyzerd -addr :8080 -fleet-machines 6 -fleet-replication 3 -fleet-zones 3
 //
 // Endpoints:
 //
-//	POST /deploy?fn=<workload>            prepare func-image + template
+//	POST /deploy?fn=<workload>            prepare func-image + template on R machines
+//	POST /deploy-custom                   register and deploy a JSON workload document
+//	POST /train?fn=<workload>&fraction=F  deploy the pre-initialized variant (§6.7)
 //	POST /invoke?fn=<workload>&boot=fork  serve one request (boot: cold|warm|fork|gvisor|...)
 //	GET  /functions                       list deployable workloads
-//	GET  /stats                           machine stats (live instances, virtual clock)
-//	GET  /metrics                         boot latencies + failure/overload counters
+//	GET  /stats                           machines, live instances, deployed functions, virtual clock
+//	GET  /metrics                         boot latencies + failure/overload/supervision/fleet counters
 //	GET  /health                          liveness/degradation/draining probe
+//	GET  /machines                        membership view
+//	POST /machines/kill?idx=<i>           chaos hook: crash machine i
+//	POST /machines/restart?idx=<i>        re-admit machine i
 //
-// Errors map to statuses by type: an unknown function is 404, a bad
-// parameter (including an unknown boot kind) is 400, a shed request is
-// 429 with a Retry-After hint, a request arriving during drain is 503,
-// an expired deadline is 504, a canceled request is 499, and a boot
-// whose whole fallback chain failed is 500. A request with the wrong
-// method gets 405 with an Allow header.
+// Errors map to statuses by type: an unknown or undeployed function is
+// 404, a bad parameter (including an unknown boot kind) is 400, a shed
+// request is 429 with a Retry-After hint, a request arriving during
+// drain is 503, an expired deadline is 504, a canceled request is 499,
+// and a boot whose whole fallback chain failed is 500. Machine-level
+// failures (ErrMachineDown, ErrMachineUnreachable, ErrNoSurvivors,
+// ErrZoneDegraded and the gray-failure errors) are retryable 503s with
+// a Retry-After hint. A request with the wrong method gets 405 with an
+// Allow header.
 //
-// Invocations honour an optional deadline_ms query parameter (and the
-// HTTP request context): the deadline bounds admission queueing and the
-// recovery boot chain, which aborts between fallback stages.
+// Admission (-max-concurrent, -max-per-function, -queue-depth) is the
+// fleet's front door: every invocation takes a slot before placement,
+// so the caps bound the whole fleet. Invocations honour an optional
+// deadline_ms query parameter (and the HTTP request context): the
+// deadline bounds admission queueing and the recovery boot chain, which
+// aborts between fallback stages.
 //
-// GET /health returns 200 with {"status":"ok"} while every circuit
-// breaker is closed, 503 with {"status":"degraded"} plus the list of
-// open breakers when the failure-recovery machinery has a boot path shut
-// off, and 503 with {"status":"draining"} once shutdown has begun. The
-// body also carries live-instance and quarantine counts, so an
-// orchestrator can alert on template/image churn before requests fail.
-//
-// With -store-dir the daemon persists func-images in a crash-consistent
-// on-disk store (journaled manifest, per-image generations with a
-// last-known-good fallback). On restart it rehydrates the function
-// registry from the store's manifest, so previously deployed functions
-// serve without a fresh /deploy; /metrics carries the recovery outcome
-// and the store's durability counters (rollbacks, scrub repairs,
-// quarantines, orphan sweeps), and /health reports rollbacks and the
-// recovered-function count.
-//
-// With -fleet-machines N the daemon runs a fleet of N machines behind a
-// health-checked membership view and consistent-hash placement instead
-// of a single machine: /deploy replicates func-images R ways
-// (-fleet-replication), /invoke reports the serving machine and fails
-// over off dead machines, and GET /machines plus the chaos hooks
-// POST /machines/kill and POST /machines/restart expose the membership
-// view. /metrics carries a "fleet" section (membership gauges, failover
-// and re-replication counters, per-machine served/live vectors) and
-// /health reports "degraded" with the down machine indices while any
-// member is down. Machine-level failures (ErrMachineDown,
-// ErrMachineUnreachable, ErrNoSurvivors, ErrZoneDegraded) map to
-// retryable 503s with a Retry-After hint; an undeployed function is 404.
-//
+// /deploy replicates func-images R ways (-fleet-replication), and
+// /invoke reports the serving machine and fails over off dead machines.
 // With -fleet-zones Z the machines stripe across Z failure domains
 // ("z0".."zN-1", machine i in zone i % Z) and /deploy spreads each
 // replica set across distinct zones, so a whole-zone outage cannot take
 // every copy of a function. -fleet-repair-budget caps concurrent
 // re-replications after machine losses; the excess queues
-// deterministically. /machines reports each member's zone and /health
-// summarizes membership per zone.
+// deterministically. The gray-failure defense (adaptive timeouts,
+// hedging, outlier ejection, the retry/hedge budget) runs with its
+// library defaults.
 //
-// With -fleet-store-dir every fleet machine owns a crash-consistent
-// store in a per-machine subdirectory (m0..mN-1 under the given root),
-// replica pulls are acknowledged only after a journaled fsync, and a
-// daemon restarted over the same root recovers the whole fleet from
-// disk: each store scrubs and rehydrates, a deterministic
-// reconciliation pass settles replica divergence (highest verified
-// generation wins, stale copies re-pull, byte-divergent ones are
-// quarantined and re-pulled), placement re-derives, and replica sets
-// top back up to R under the repair budget. /metrics and /health carry
-// the recovery counters (stores/functions recovered, torn stores,
-// stale re-pulls, divergent quarantines).
+// GET /health answers 503 "draining" once shutdown has begun; else 503
+// "degraded" while a machine is down, a circuit breaker is open or a
+// crash-looping function is parked (each listed); else 200 "brownout"
+// while a soft-ejected gray machine is out of rotation; else 200 "ok".
+// The body also carries live-instance, quarantine, per-zone membership
+// and restart-recovery counts, so an orchestrator can alert on
+// template/image churn or partial fleet loss before requests fail.
+//
+// With -fleet-store-dir ROOT every machine owns a crash-consistent
+// func-image store (journaled manifest, per-image generations with a
+// last-known-good fallback) in ROOT/m0 .. ROOT/mN-1, so a single machine
+// keeps its store in ROOT/m0. Replica pulls are acknowledged only after
+// a journaled fsync, and a daemon restarted over the same root recovers
+// every deployed function from disk before it serves: each store scrubs
+// and rehydrates, a deterministic reconciliation pass settles replica
+// divergence (highest verified generation wins, stale copies re-pull,
+// byte-divergent ones are quarantined and re-pulled), placement
+// re-derives, and replica sets top back up to R. /metrics carries the
+// recovery outcome and the stores' durability counters, and /health the
+// recovered-function count.
 //
 // The daemon serves real HTTP over net/http; the sandboxes behind it run
-// on the simulated machine, so responses carry virtual-time latencies.
+// on simulated machines, so responses carry virtual-time latencies.
 // SIGINT/SIGTERM shut the daemon down gracefully: admission stops
-// (health flips to draining), queued work finishes or is shed by the
-// drain deadline, and the client's long-lived artifacts are released.
+// (health flips to draining and new work gets 503), queued and
+// in-flight work finishes or is shed by the -grace deadline, and then
+// the listener stops and the machines close.
 package main
 
 import (
@@ -103,20 +102,22 @@ import (
 // request whose client went away before the response.
 const statusClientClosedRequest = 499
 
-// server exposes a Client over HTTP. The Client is internally
+// server exposes a Fleet over HTTP. The Fleet is internally
 // synchronized, so handlers need no additional locking.
 type server struct {
-	client *catalyzer.Client
+	fleet *catalyzer.Fleet
 }
 
-// statusOf maps a client error to an HTTP status by its type: unknown
-// functions are the caller's 404, unknown boot kinds the caller's 400,
-// shed requests 429, drain rejections 503, expired deadlines 504,
-// canceled requests 499, and everything else — including an exhausted
-// recovery chain — is the server's 500.
+// statusOf maps a fleet error to an HTTP status by its type: unknown
+// and undeployed functions are the caller's 404, unknown boot kinds the
+// caller's 400, shed requests 429, drain rejections and retryable
+// machine-level failures 503, expired deadlines 504, canceled requests
+// 499, and everything else — including an exhausted recovery chain —
+// is the server's 500.
 func statusOf(err error) int {
 	switch {
-	case errors.Is(err, catalyzer.ErrNotRegistered):
+	case errors.Is(err, catalyzer.ErrNotRegistered),
+		errors.Is(err, catalyzer.ErrNotDeployed):
 		return http.StatusNotFound
 	case errors.Is(err, catalyzer.ErrUnknownSystem):
 		return http.StatusBadRequest
@@ -132,9 +133,6 @@ func statusOf(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, catalyzer.ErrCanceled):
 		return statusClientClosedRequest
-	case errors.Is(err, catalyzer.ErrNotDeployed):
-		// Fleet mode: the function exists but was never deployed here.
-		return http.StatusNotFound
 	case errors.Is(err, catalyzer.ErrNoSurvivors),
 		errors.Is(err, catalyzer.ErrMachineDown),
 		errors.Is(err, catalyzer.ErrMachineUnreachable),
@@ -153,7 +151,7 @@ func statusOf(err error) int {
 }
 
 // fail writes err with its mapped status; shed requests and retryable
-// fleet 503s carry a Retry-After hint so well-behaved clients back off.
+// 503s carry a Retry-After hint so well-behaved clients back off.
 func fail(w http.ResponseWriter, err error) {
 	code := statusOf(err)
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
@@ -179,6 +177,8 @@ func requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
 	return ctx, cancel, nil
 }
 
+// invokeResponse is the wire form of one served invocation, including
+// the index of the machine that served it after placement and failover.
 type invokeResponse struct {
 	Function string             `json:"function"`
 	Boot     string             `json:"boot"`
@@ -187,9 +187,9 @@ type invokeResponse struct {
 	ExecMS   float64            `json:"exec_ms"`
 	TotalMS  float64            `json:"total_ms"`
 	PhasesMS map[string]float64 `json:"phases_ms"`
+	Machine  int                `json:"machine"`
 }
 
-// invokeResponseOf is the wire form of one served invocation.
 func invokeResponseOf(inv *catalyzer.Invocation) invokeResponse {
 	resp := invokeResponse{
 		Function: inv.Function,
@@ -199,6 +199,7 @@ func invokeResponseOf(inv *catalyzer.Invocation) invokeResponse {
 		ExecMS:   float64(inv.ExecLatency) / 1e6,
 		TotalMS:  float64(inv.Total()) / 1e6,
 		PhasesMS: map[string]float64{},
+		Machine:  inv.Machine,
 	}
 	for _, ph := range inv.Phases {
 		resp.PhasesMS[ph.Name] += float64(ph.Duration) / 1e6
@@ -232,7 +233,7 @@ func bootsOf(stats map[catalyzer.BootKind]catalyzer.KindStats) map[string]kindSt
 	return boots
 }
 
-// functions lists the deployable workloads (shared by both servers).
+// functions lists the deployable workloads.
 func functions(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(catalyzer.Functions())
@@ -244,11 +245,11 @@ func (s *server) deploy(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing fn parameter", http.StatusBadRequest)
 		return
 	}
-	if err := s.client.Deploy(r.Context(), fn); err != nil {
+	if err := s.fleet.Deploy(r.Context(), fn); err != nil {
 		fail(w, err)
 		return
 	}
-	fmt.Fprintf(w, "deployed %s\n", fn)
+	fmt.Fprintf(w, "deployed %s to machines %v\n", fn, s.fleet.Replicas(fn))
 }
 
 func (s *server) invoke(w http.ResponseWriter, r *http.Request) {
@@ -267,7 +268,7 @@ func (s *server) invoke(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	inv, err := s.client.Invoke(ctx, fn, catalyzer.BootKind(boot))
+	inv, err := s.fleet.Invoke(ctx, fn, catalyzer.BootKind(boot))
 	if err != nil {
 		fail(w, err)
 		return
@@ -286,7 +287,7 @@ func (s *server) deployCustom(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	name, err := s.client.DeployCustom(r.Context(), doc)
+	name, err := s.fleet.DeployCustom(r.Context(), doc)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -294,7 +295,7 @@ func (s *server) deployCustom(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "deployed custom function %s\n", name)
 }
 
-// train prepares a function's pre-initialized variant (§6.7).
+// train deploys a function's pre-initialized variant (§6.7).
 func (s *server) train(w http.ResponseWriter, r *http.Request) {
 	fn := r.URL.Query().Get("fn")
 	if fn == "" {
@@ -308,7 +309,7 @@ func (s *server) train(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	name, err := s.client.Train(fn, fraction)
+	name, err := s.fleet.Train(r.Context(), fn, fraction)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -320,17 +321,24 @@ func (s *server) train(w http.ResponseWriter, r *http.Request) {
 // are the wire names), adding only the virtual-time durations as float
 // milliseconds.
 func (s *server) metrics(w http.ResponseWriter, _ *http.Request) {
-	st := s.client.FailureStats()
+	st := s.fleet.FailureStats()
+	fs := s.fleet.FleetStats()
 	body := map[string]any{
-		"boots": bootsOf(s.client.Stats()),
+		"boots": bootsOf(s.fleet.Stats()),
 		"failures": struct {
 			catalyzer.FailureStats
 			BackoffTotalMS float64 `json:"backoff_total_ms"`
 		}{st, float64(st.BackoffTotal) / 1e6},
-		"overload":  s.client.OverloadStats(),
-		"supervise": s.client.SuperviseStats(),
+		"overload":  s.fleet.OverloadStats(),
+		"supervise": s.fleet.SuperviseStats(),
+		"fleet": struct {
+			catalyzer.FleetStats
+			InvokeP50MS float64 `json:"invoke_p50_ms"`
+			InvokeP99MS float64 `json:"invoke_p99_ms"`
+			InvokeMaxMS float64 `json:"invoke_max_ms"`
+		}{fs, float64(fs.InvokeP50) / 1e6, float64(fs.InvokeP99) / 1e6, float64(fs.InvokeMax) / 1e6},
 	}
-	if rep := s.client.RecoveryReport(); rep != nil {
+	if rep := s.fleet.RecoveryReport(); rep != nil {
 		body["recovery"] = map[string]any{
 			"recovered_functions": len(rep.Recovered),
 			"recovered":           rep.Recovered,
@@ -341,35 +349,66 @@ func (s *server) metrics(w http.ResponseWriter, _ *http.Request) {
 	_ = json.NewEncoder(w).Encode(body)
 }
 
-// health reports liveness, degradation, and drain: 200 while every
-// circuit breaker is closed, 503 "degraded" with the open breakers
-// listed once the recovery machinery has shut a boot path off, and 503
-// "draining" once shutdown has begun.
+// health reports liveness, degradation and drain; see the package
+// comment for the status rules.
 func (s *server) health(w http.ResponseWriter, _ *http.Request) {
-	st := s.client.FailureStats()
-	var open []string
+	down := make([]int, 0)
+	ejected := make([]int, 0)
+	zoneUp := map[string]int{}
+	zoneDown := map[string]int{}
+	for _, m := range s.fleet.Machines() {
+		if m.State != "up" {
+			down = append(down, m.Index)
+			zoneDown[m.Zone]++
+		} else {
+			zoneUp[m.Zone]++
+			if m.Ejected {
+				ejected = append(ejected, m.Index)
+			}
+		}
+	}
+	// Per-zone membership summary, in zone index order: an orchestrator
+	// can tell a correlated whole-zone outage from scattered machine
+	// loss at a glance.
+	type zoneJSON struct {
+		Zone string `json:"zone"`
+		Up   int    `json:"up"`
+		Down int    `json:"down"`
+	}
+	zones := make([]zoneJSON, 0)
+	for _, z := range s.fleet.ZoneNames() {
+		zones = append(zones, zoneJSON{Zone: z, Up: zoneUp[z], Down: zoneDown[z]})
+	}
+	st := s.fleet.FailureStats()
+	open := make([]string, 0)
 	for k, state := range st.Breakers {
 		if state != "closed" {
 			open = append(open, k+"="+state)
 		}
 	}
+	sort.Strings(open)
 	// Parked (crash-looping) functions degrade health like open breakers:
 	// a boot path is shut off until the supervisor un-parks them.
 	parked := make([]string, 0)
-	for fn, remaining := range s.client.ParkedFunctions() {
+	for fn, remaining := range s.fleet.ParkedFunctions() {
 		parked = append(parked, fmt.Sprintf("%s (%v left)", fn, remaining))
 	}
 	sort.Strings(parked)
 	status, code := "ok", http.StatusOK
-	if len(open) > 0 || len(parked) > 0 {
-		status, code = "degraded", http.StatusServiceUnavailable
-	}
-	if s.client.Draining() {
+	switch {
+	case s.fleet.Draining():
 		status, code = "draining", http.StatusServiceUnavailable
+	case len(down) > 0 || len(open) > 0 || len(parked) > 0:
+		status, code = "degraded", http.StatusServiceUnavailable
+	case len(ejected) > 0:
+		// Capacity is reduced but the fleet still serves, and the
+		// ejection probes re-admit members as they recover.
+		status = "brownout"
 	}
+	fs := s.fleet.FleetStats()
 	body := map[string]any{
 		"status":                status,
-		"live_instances":        s.client.Running(),
+		"live_instances":        s.fleet.Running(),
 		"open_breakers":         open,
 		"parked_functions":      parked,
 		"templates_quarantined": st.TemplatesQuarantined,
@@ -378,8 +417,23 @@ func (s *server) health(w http.ResponseWriter, _ *http.Request) {
 		"images_quarantined":    st.ImagesQuarantined,
 		"rollbacks":             st.Rollbacks,
 		"exhausted_boots":       st.Exhausted,
+		"machines":              fs.Machines,
+		"up":                    fs.Up,
+		"down_machines":         down,
+		"ejected_machines":      ejected,
+		"zones":                 zones,
+		"zones_down":            fs.ZonesDown,
+		"replicas_lost":         fs.ReplicasLost,
+		"crashes":               fs.Crashes,
+		"rejoins":               fs.Rejoins,
+		// Restart-recovery outcome: how much the per-machine stores brought
+		// back at the last cold start, and what was torn or failed.
+		"functions_recovered": fs.FunctionsRecovered,
+		"stores_recovered":    fs.StoresRecovered,
+		"torn_stores":         fs.TornStores,
+		"recover_failures":    fs.RecoverFailures,
 	}
-	if rep := s.client.RecoveryReport(); rep != nil {
+	if rep := s.fleet.RecoveryReport(); rep != nil {
 		body["recovered_functions"] = len(rep.Recovered)
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -390,15 +444,19 @@ func (s *server) health(w http.ResponseWriter, _ *http.Request) {
 func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{
-		"live_instances":   s.client.Running(),
-		"virtual_clock_ms": float64(s.client.Now()) / 1e6,
+		"machines":         s.fleet.Size(),
+		"live_instances":   s.fleet.Running(),
+		"deployed":         s.fleet.Deployed(),
+		"virtual_clock_ms": float64(s.fleet.Now()) / 1e6,
 	})
 }
 
 // Handler builds the HTTP mux (exported shape for tests). Method
 // patterns mean a wrong-method request gets 405 with an Allow header.
-func Handler(c *catalyzer.Client) http.Handler {
-	s := &server{client: c}
+// Machine kill/restart are chaos hooks mirroring
+// Fleet.KillMachine/RestartMachine.
+func Handler(f *catalyzer.Fleet) http.Handler {
+	s := &server{fleet: f}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /deploy", s.deploy)
 	mux.HandleFunc("POST /deploy-custom", s.deployCustom)
@@ -408,61 +466,46 @@ func Handler(c *catalyzer.Client) http.Handler {
 	mux.HandleFunc("GET /stats", s.stats)
 	mux.HandleFunc("GET /metrics", s.metrics)
 	mux.HandleFunc("GET /health", s.health)
+	mux.HandleFunc("GET /machines", s.machines)
+	mux.HandleFunc("POST /machines/kill", s.kill)
+	mux.HandleFunc("POST /machines/restart", s.restart)
 	return mux
 }
 
-// validateFlags rejects flag combinations the daemon cannot honor. In
-// particular, -store-dir is the single-machine store: in fleet mode
-// each machine owns its own store under -fleet-store-dir, and silently
-// accepting a -store-dir would let an operator believe one shared store
-// backs the fleet when it backs nothing.
-func validateFlags(zygotePool, fleetMachines, fleetZones int, storeDir, fleetStoreDir string) error {
+// validateFlags rejects flag values the daemon cannot honor before any
+// machine is built.
+func validateFlags(zygotePool, machines, zones int, storeDir string) error {
 	if zygotePool < 0 {
 		return fmt.Errorf("-zygote-pool must be >= 0, got %d", zygotePool)
 	}
-	if fleetMachines > 0 && storeDir != "" {
-		return fmt.Errorf("-store-dir is the single-machine store; fleet machines keep per-machine stores under -fleet-store-dir")
+	if machines < 1 {
+		return fmt.Errorf("-fleet-machines must be >= 1, got %d", machines)
 	}
-	if fleetStoreDir != "" && fleetMachines == 0 {
-		return fmt.Errorf("-fleet-store-dir requires fleet mode: set -fleet-machines > 0")
+	if zones < 0 || zones > machines {
+		return fmt.Errorf("-fleet-zones must be in 0..%d (a zone needs at least one machine), got %d", machines, zones)
 	}
-	if fleetStoreDir != "" && !filepath.IsAbs(fleetStoreDir) {
-		return fmt.Errorf("-fleet-store-dir must be an absolute path, got %q", fleetStoreDir)
-	}
-	if fleetZones < 0 {
-		return fmt.Errorf("-fleet-zones must be >= 0, got %d", fleetZones)
-	}
-	if fleetZones > 0 && fleetMachines == 0 {
-		return fmt.Errorf("-fleet-zones requires fleet mode: set -fleet-machines > 0")
-	}
-	if fleetZones > fleetMachines {
-		return fmt.Errorf("-fleet-zones %d exceeds -fleet-machines %d: a zone needs at least one machine", fleetZones, fleetMachines)
+	if storeDir != "" && !filepath.IsAbs(storeDir) {
+		return fmt.Errorf("-fleet-store-dir must be an absolute path, got %q", storeDir)
 	}
 	return nil
 }
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	server := flag.Bool("server-machine", false, "use the 96-core server cost model")
+	serverMachine := flag.Bool("server-machine", false, "use the 96-core server cost model")
 	grace := flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests")
-	maxConcurrent := flag.Int("max-concurrent", 0, "global in-flight invocation cap (0 = unlimited)")
+	maxConcurrent := flag.Int("max-concurrent", 0, "fleet-wide in-flight invocation cap (0 = unlimited)")
 	maxPerFunction := flag.Int("max-per-function", 0, "per-function in-flight invocation cap (0 = unlimited)")
 	queueDepth := flag.Int("queue-depth", 0, "admission queue depth; beyond it requests are shed with 429 (0 = shed at capacity)")
-	memoryBudget := flag.Int("memory-budget", 0, "machine memory budget in pages; boots under pressure evict idle instances (0 = unlimited)")
-	zygotePool := flag.Int("zygote-pool", 4, "Zygote pool target size: pre-booted sandboxes kept ready for warm boots and refilled by the supervisor (0 = disabled)")
-	storeDir := flag.String("store-dir", "", "directory for the crash-consistent func-image store; deployed functions are recovered from it on restart (empty = in-memory only)")
-	fleetMachines := flag.Int("fleet-machines", 0, "run a fleet of N machines behind placement/failover instead of a single machine (0 = single-machine mode)")
-	fleetStoreDir := flag.String("fleet-store-dir", "", "absolute root for per-machine crash-consistent stores (m0..mN-1); a daemon restarted over the same root recovers the whole fleet from disk (empty = in-memory machines)")
-	fleetReplication := flag.Int("fleet-replication", 0, "func-image replication factor in fleet mode (0 = default 2)")
-	fleetZones := flag.Int("fleet-zones", 0, "failure-domain count in fleet mode: machines stripe across zones and replicas spread over distinct zones (0 = default 1, a single zone)")
-	fleetRepairBudget := flag.Int("fleet-repair-budget", 0, "cap on concurrent re-replications after machine losses; excess repairs queue deterministically (0 = default 4)")
-	fleetEjectFactor := flag.Float64("fleet-eject-factor", 0, "outlier-ejection threshold as a multiple of the fleet's healthy median latency score (0 = default 4)")
-	fleetHedgeFactor := flag.Float64("fleet-hedge-factor", 0, "hedge delay as a multiple of the healthy median latency score; slower primaries race a second attempt (0 = default 2)")
-	fleetBudgetRatio := flag.Float64("fleet-budget-ratio", 0, "retry/hedge tokens earned per admitted invocation, bounding extra attempts to roughly this fraction of traffic (0 = default 0.1)")
-	fleetBudgetBurst := flag.Int("fleet-budget-burst", 0, "retry/hedge token bucket size (0 = default 32)")
-	fleetMaxEjectFraction := flag.Float64("fleet-max-eject-fraction", 0, "largest share of up machines that may be soft-ejected at once; beyond it the fleet serves browned-out (0 = default 1/3)")
+	memoryBudget := flag.Int("memory-budget", 0, "per-machine memory budget in pages; boots under pressure evict idle instances (0 = unlimited)")
+	zygotePool := flag.Int("zygote-pool", 4, "Zygote pool target size per machine: pre-booted sandboxes kept ready for warm boots and refilled by the supervisor (0 = disabled)")
+	machines := flag.Int("fleet-machines", 1, "number of machines behind placement and failover (1 = a single machine)")
+	storeDir := flag.String("fleet-store-dir", "", "absolute root for per-machine crash-consistent func-image stores (m0..mN-1); a daemon restarted over the same root recovers its deployed functions from disk (empty = in-memory machines)")
+	replication := flag.Int("fleet-replication", 0, "func-image replication factor (0 = default 2, capped at the machine count)")
+	zones := flag.Int("fleet-zones", 0, "failure-domain count: machines stripe across zones and replicas spread over distinct zones (0 = default 1, a single zone)")
+	repairBudget := flag.Int("fleet-repair-budget", 0, "cap on concurrent re-replications after machine losses; excess repairs queue deterministically (0 = default 4)")
 	flag.Parse()
-	if err := validateFlags(*zygotePool, *fleetMachines, *fleetZones, *storeDir, *fleetStoreDir); err != nil {
+	if err := validateFlags(*zygotePool, *machines, *zones, *storeDir); err != nil {
 		log.Fatal(err)
 	}
 
@@ -474,82 +517,39 @@ func main() {
 		}),
 		catalyzer.WithZygotePool(*zygotePool),
 	}
-	if *server {
+	if *serverMachine {
 		opts = append(opts, catalyzer.WithServerMachine())
 	}
 	if *memoryBudget > 0 {
 		opts = append(opts, catalyzer.WithMemoryBudget(*memoryBudget))
 	}
-	// Fleet mode swaps the single-machine client for N machines behind
-	// the placement/failover control plane; the drain/close hooks below
-	// abstract over the two.
-	var handler http.Handler
-	drain := func(context.Context) error { return nil }
-	var closeFn func()
-	var running func() int
-	if *fleetMachines > 0 {
-		f, err := catalyzer.NewFleet(catalyzer.FleetConfig{
-			Machines:         *fleetMachines,
-			Replication:      *fleetReplication,
-			Zones:            *fleetZones,
-			RepairBudget:     *fleetRepairBudget,
-			EjectFactor:      *fleetEjectFactor,
-			HedgeFactor:      *fleetHedgeFactor,
-			BudgetRatio:      *fleetBudgetRatio,
-			BudgetBurst:      *fleetBudgetBurst,
-			MaxEjectFraction: *fleetMaxEjectFraction,
-			StoreDir:         *fleetStoreDir,
-		}, opts...)
+	f, err := catalyzer.NewFleet(catalyzer.FleetConfig{
+		Machines:     *machines,
+		Replication:  *replication,
+		Zones:        *zones,
+		RepairBudget: *repairBudget,
+		StoreDir:     *storeDir,
+	}, opts...)
+	if err != nil {
+		log.Fatalf("build fleet: %v", err)
+	}
+	log.Printf("serving %d machine(s)", f.Size())
+	if *storeDir != "" {
+		// Rebuild the serving state from the per-machine stores: functions
+		// deployed before a restart serve again without a fresh /deploy.
+		rep, err := f.Recover(context.Background())
 		if err != nil {
-			log.Fatalf("build fleet: %v", err)
+			log.Fatalf("recover from %s: %v", *storeDir, err)
 		}
-		log.Printf("fleet mode: %d machines", f.Size())
-		if *fleetStoreDir != "" {
-			// Rebuild the fleet's serving state from the per-machine stores:
-			// functions deployed before a restart serve again without a
-			// fresh /deploy.
-			rep, err := f.Recover(context.Background())
-			if err != nil {
-				log.Fatalf("recover fleet from %s: %v", *fleetStoreDir, err)
-			}
-			log.Printf("recovered %d function(s) from %s: %v", len(rep.Recovered), *fleetStoreDir, rep.Recovered)
-			for fn, cause := range rep.Failed {
-				log.Printf("could not recover %s: %s", fn, cause)
-			}
+		log.Printf("recovered %d function(s) from %s: %v", len(rep.Recovered), *storeDir, rep.Recovered)
+		for fn, cause := range rep.Failed {
+			log.Printf("could not recover %s: %s", fn, cause)
 		}
-		handler = FleetHandler(f)
-		closeFn = f.Close
-		running = f.Running
-	} else {
-		var c *catalyzer.Client
-		if *storeDir != "" {
-			var err error
-			c, err = catalyzer.NewClientWithStore(*storeDir, opts...)
-			if err != nil {
-				log.Fatalf("open image store %s: %v", *storeDir, err)
-			}
-			// Rehydrate the registry from the store's manifest: functions
-			// deployed before a restart serve again without a fresh /deploy.
-			rep, err := c.Recover(context.Background())
-			if err != nil {
-				log.Fatalf("recover from image store: %v", err)
-			}
-			log.Printf("recovered %d function(s) from %s: %v", len(rep.Recovered), *storeDir, rep.Recovered)
-			for fn, cause := range rep.Failed {
-				log.Printf("could not recover %s: %s", fn, cause)
-			}
-		} else {
-			c = catalyzer.NewClient(opts...)
-		}
-		handler = Handler(c)
-		drain = c.Drain
-		closeFn = c.Close
-		running = c.Running
 	}
 
 	srv := &http.Server{
 		Addr:    *addr,
-		Handler: handler,
+		Handler: Handler(f),
 		// Slow-client protection: a peer that trickles headers or a body,
 		// or never reads its response, cannot pin a connection forever.
 		ReadHeaderTimeout: 5 * time.Second,
@@ -574,17 +574,16 @@ func main() {
 
 	// Graceful drain: stop admitting (health flips to draining), give
 	// queued and in-flight work the grace period to finish (stragglers in
-	// the queue are shed), then stop the listener and release the
-	// client's long-lived artifacts.
+	// the queue are shed), then stop the listener and close the machines.
 	log.Printf("catalyzerd draining")
 	drainCtx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
-	if err := drain(drainCtx); err != nil {
+	if err := f.Drain(drainCtx); err != nil {
 		log.Printf("drain: %v", err)
 	}
 	if err := srv.Shutdown(drainCtx); err != nil {
 		log.Printf("shutdown: %v", err)
 	}
-	closeFn()
-	log.Printf("catalyzerd stopped (%d live instances)", running())
+	f.Close()
+	log.Printf("catalyzerd stopped (%d live instances)", f.Running())
 }

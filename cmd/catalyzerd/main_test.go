@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,11 +13,37 @@ import (
 	"catalyzer/internal/workload"
 )
 
-func newTestServer(t *testing.T) *httptest.Server {
+// newFleet builds a fleet that is closed when the test ends.
+func newFleet(t *testing.T, cfg catalyzer.FleetConfig, opts ...catalyzer.Option) *catalyzer.Fleet {
 	t.Helper()
-	srv := httptest.NewServer(Handler(catalyzer.NewClient()))
+	f, err := catalyzer.NewFleet(cfg, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	return f
+}
+
+// serve runs the daemon's handler over f until the test ends.
+func serve(t *testing.T, f *catalyzer.Fleet) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(Handler(f))
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// newTestServer serves a one-machine fleet, the daemon's default.
+func newTestServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	return serve(t, newFleet(t, catalyzer.FleetConfig{Machines: 1}))
+}
+
+// forEachSize runs body as a subtest on a one-machine and a
+// three-machine fleet.
+func forEachSize(t *testing.T, body func(t *testing.T, machines int)) {
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%d-machines", n), func(t *testing.T) { body(t, n) })
+	}
 }
 
 func post(t *testing.T, srv *httptest.Server, path string) *http.Response {
@@ -126,16 +153,21 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var stats map[string]float64
+	var stats struct {
+		Machines       int      `json:"machines"`
+		LiveInstances  int      `json:"live_instances"`
+		Deployed       []string `json:"deployed"`
+		VirtualClockMS float64  `json:"virtual_clock_ms"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats["virtual_clock_ms"] <= 0 {
-		t.Fatalf("stats = %v", stats)
+	if stats.VirtualClockMS <= 0 || stats.Machines != 1 || len(stats.Deployed) != 1 {
+		t.Fatalf("stats = %+v", stats)
 	}
 	// Templates stay alive; transient request instances are released.
-	if stats["live_instances"] < 1 {
-		t.Fatalf("live = %v, want template running", stats["live_instances"])
+	if stats.LiveInstances < 1 {
+		t.Fatalf("live = %d, want template running", stats.LiveInstances)
 	}
 }
 
@@ -209,14 +241,13 @@ func TestHealthEndpoint(t *testing.T) {
 }
 
 func TestHealthDegradesWithOpenBreaker(t *testing.T) {
-	c := catalyzer.NewClient(catalyzer.WithFaultSeed(1))
+	c := newFleet(t, catalyzer.FleetConfig{Machines: 1}, catalyzer.WithFaultSeed(1))
 	cfg := catalyzer.DefaultRecoveryConfig()
 	cfg.MaxRetries = 0
 	cfg.BreakerThreshold = 2
 	cfg.QuarantineThreshold = 100
 	c.SetRecoveryConfig(cfg)
-	srv := httptest.NewServer(Handler(c))
-	t.Cleanup(srv.Close)
+	srv := serve(t, c)
 
 	post(t, srv, "/deploy?fn=c-hello")
 	if err := c.ArmFault("sfork", 1); err != nil {
@@ -303,14 +334,14 @@ func TestDeployCustomAndTrain(t *testing.T) {
 }
 
 // TestRestartRecovery is the daemon half of the restart-recovery
-// contract: a second daemon over the same store directory serves the
-// first daemon's functions without a fresh /deploy, and /metrics and
-// /health expose the recovery outcome.
+// contract: a second daemon over the same store root serves the first
+// daemon's functions without a fresh /deploy, and /metrics and /health
+// expose the recovery outcome.
 func TestRestartRecovery(t *testing.T) {
-	dir := t.TempDir()
+	cfg := catalyzer.FleetConfig{Machines: 1, StoreDir: t.TempDir()}
 
 	// Daemon 1: deploy + invoke, then shut down.
-	c1, err := catalyzer.NewClientWithStore(dir)
+	c1, err := catalyzer.NewFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,10 +357,7 @@ func TestRestartRecovery(t *testing.T) {
 
 	// Daemon 2 ("restarted") over the same store: recover, then serve
 	// WITHOUT a /deploy.
-	c2, err := catalyzer.NewClientWithStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := newFleet(t, cfg)
 	rep, err := c2.Recover(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -337,8 +365,7 @@ func TestRestartRecovery(t *testing.T) {
 	if len(rep.Recovered) != 1 || rep.Recovered[0] != "c-hello" {
 		t.Fatalf("recovered = %v (failed %v)", rep.Recovered, rep.Failed)
 	}
-	srv2 := httptest.NewServer(Handler(c2))
-	t.Cleanup(func() { srv2.Close(); c2.Close() })
+	srv2 := serve(t, c2)
 	resp := post(t, srv2, "/invoke?fn=c-hello&boot=cold")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("invoke after restart without re-deploy = %d", resp.StatusCode)
@@ -396,7 +423,7 @@ func TestRestartRecovery(t *testing.T) {
 
 // TestMetricsSuperviseSection: /metrics carries the full supervision
 // counter set (the daemon encodes supervise.Stats directly, and
-// TestMetricsKeySetSingleMachine pins every key).
+// TestMetricsKeySet pins every key).
 func TestMetricsSuperviseSection(t *testing.T) {
 	srv := newTestServer(t)
 	post(t, srv, "/deploy?fn=c-hello")
@@ -430,15 +457,14 @@ func TestMetricsSuperviseSection(t *testing.T) {
 // /health and is listed with its remaining park time, alongside the
 // watchdog and poisoning gauges.
 func TestHealthReportsParkedFunctions(t *testing.T) {
-	c := catalyzer.NewClient(
+	c := newFleet(t, catalyzer.FleetConfig{Machines: 1},
 		catalyzer.WithFaultSeed(2),
 		catalyzer.WithSupervision(catalyzer.SuperviseConfig{
 			CrashLoopThreshold: 1, // first kill parks
 			ParkBase:           10 * simtime.Second,
 		}),
 	)
-	srv := httptest.NewServer(Handler(c))
-	t.Cleanup(func() { srv.Close(); c.Close() })
+	srv := serve(t, c)
 
 	post(t, srv, "/deploy?fn=c-hello")
 	if err := c.ArmFault("invoke-hang", 1); err != nil {
@@ -480,9 +506,8 @@ func TestHealthReportsParkedFunctions(t *testing.T) {
 // shutdown path relies on (run under -race in CI): after Close, no
 // supervision probe fires, however much traffic still arrives.
 func TestShutdownDrainsSupervision(t *testing.T) {
-	c := catalyzer.NewClient()
-	srv := httptest.NewServer(Handler(c))
-	t.Cleanup(srv.Close)
+	c := newFleet(t, catalyzer.FleetConfig{Machines: 1})
+	srv := serve(t, c)
 
 	post(t, srv, "/deploy?fn=c-hello")
 	for i := 0; i < 5; i++ {

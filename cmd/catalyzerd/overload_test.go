@@ -1,9 +1,11 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
-	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -64,120 +66,140 @@ func TestWrongMethodIs405WithAllow(t *testing.T) {
 }
 
 func TestShedRequestGets429WithRetryAfter(t *testing.T) {
-	c := catalyzer.NewClient(catalyzer.WithAdmission(catalyzer.AdmissionConfig{
-		MaxConcurrent: 1,
-	}))
-	srv := httptest.NewServer(Handler(c))
-	t.Cleanup(srv.Close)
-	post(t, srv, "/deploy?fn=c-hello")
+	forEachSize(t, func(t *testing.T, machines int) {
+		f := newFleet(t, catalyzer.FleetConfig{Machines: machines},
+			catalyzer.WithAdmission(catalyzer.AdmissionConfig{MaxConcurrent: 1}))
+		srv := serve(t, f)
+		post(t, srv, "/deploy?fn=c-hello")
 
-	// Hold the only slot with a long-running Burst driven through the
-	// client (the daemon shares it), then invoke over HTTP.
-	burstErr := make(chan error, 1)
-	go func() {
-		_, err := c.Burst(nil, "c-hello", catalyzer.ForkBoot, 3000, 8)
-		burstErr <- err
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for c.OverloadStats().InFlight == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("burst never entered flight")
+		// Keep the only slot busy with invocations driven through the fleet
+		// (the daemon shares it), then invoke over HTTP until one is shed.
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := f.Invoke(context.Background(), "c-hello", catalyzer.ForkBoot); err != nil && !errors.Is(err, catalyzer.ErrOverloaded) {
+					t.Errorf("background invoke: %v", err)
+					return
+				}
+			}
+		}()
+		code, retryAfter := 0, ""
+		for deadline := time.Now().Add(10 * time.Second); code != http.StatusTooManyRequests && time.Now().Before(deadline); {
+			resp, err := http.Post(srv.URL+"/invoke?fn=c-hello&boot=fork", "", nil)
+			if err != nil {
+				t.Error(err)
+				break
+			}
+			resp.Body.Close()
+			code, retryAfter = resp.StatusCode, resp.Header.Get("Retry-After")
+			if code != http.StatusOK && code != http.StatusTooManyRequests {
+				t.Errorf("invoke = %d, want 200 or 429", code)
+				break
+			}
 		}
-		time.Sleep(time.Millisecond)
-	}
+		close(stop)
+		wg.Wait()
+		if code != http.StatusTooManyRequests {
+			t.Fatalf("no invoke was shed at capacity (last status %d)", code)
+		}
+		if retryAfter == "" {
+			t.Fatal("429 without Retry-After")
+		}
 
-	resp := post(t, srv, "/invoke?fn=c-hello&boot=fork")
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("invoke at capacity = %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
-	}
-	if err := <-burstErr; err != nil {
-		t.Fatalf("burst: %v", err)
-	}
-
-	ov := getOverload(t, srv.URL)
-	if ov.Shed < 1 {
-		t.Fatalf("overload metrics after shed: %+v", ov)
-	}
-	if ov.InFlight != 0 {
-		t.Fatalf("in-flight after completion: %+v", ov)
-	}
+		ov := getOverload(t, srv.URL)
+		if ov.Shed < 1 {
+			t.Fatalf("overload metrics after shed: %+v", ov)
+		}
+		if ov.InFlight != 0 {
+			t.Fatalf("in-flight after completion: %+v", ov)
+		}
+	})
 }
 
 func TestDeadlineParameter(t *testing.T) {
-	srv := newTestServer(t)
-	post(t, srv, "/deploy?fn=c-hello")
+	forEachSize(t, func(t *testing.T, machines int) {
+		srv := serve(t, newFleet(t, catalyzer.FleetConfig{Machines: machines}))
+		post(t, srv, "/deploy?fn=c-hello")
 
-	// A nanosecond deadline expires before admission: 504.
-	resp := post(t, srv, "/invoke?fn=c-hello&boot=fork&deadline_ms=0.000001")
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("expired deadline = %d, want 504", resp.StatusCode)
-	}
-	// A generous deadline serves normally.
-	resp2 := post(t, srv, "/invoke?fn=c-hello&boot=fork&deadline_ms=30000")
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("generous deadline = %d, want 200", resp2.StatusCode)
-	}
-	// Malformed deadlines are the caller's 400.
-	for _, bad := range []string{"nope", "-5", "0"} {
-		resp := post(t, srv, "/invoke?fn=c-hello&boot=fork&deadline_ms="+bad)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("deadline_ms=%s = %d, want 400", bad, resp.StatusCode)
+		// A nanosecond deadline expires before admission: 504.
+		resp := post(t, srv, "/invoke?fn=c-hello&boot=fork&deadline_ms=0.000001")
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("expired deadline = %d, want 504", resp.StatusCode)
 		}
-	}
-	ov := getOverload(t, srv.URL)
-	if ov.Expired < 1 {
-		t.Fatalf("overload metrics after expiry: %+v", ov)
-	}
+		// A generous deadline serves normally.
+		resp2 := post(t, srv, "/invoke?fn=c-hello&boot=fork&deadline_ms=30000")
+		if resp2.StatusCode != http.StatusOK {
+			t.Fatalf("generous deadline = %d, want 200", resp2.StatusCode)
+		}
+		// Malformed deadlines are the caller's 400.
+		for _, bad := range []string{"nope", "-5", "0"} {
+			resp := post(t, srv, "/invoke?fn=c-hello&boot=fork&deadline_ms="+bad)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("deadline_ms=%s = %d, want 400", bad, resp.StatusCode)
+			}
+		}
+		ov := getOverload(t, srv.URL)
+		if ov.Expired < 1 {
+			t.Fatalf("overload metrics after expiry: %+v", ov)
+		}
+	})
 }
 
 func TestDrainFlipsHealthAndRejectsWork(t *testing.T) {
-	c := catalyzer.NewClient()
-	srv := httptest.NewServer(Handler(c))
-	t.Cleanup(srv.Close)
-	post(t, srv, "/deploy?fn=c-hello")
-	if resp := post(t, srv, "/invoke?fn=c-hello&boot=fork"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("pre-drain invoke = %d", resp.StatusCode)
-	}
+	forEachSize(t, func(t *testing.T, machines int) {
+		c := newFleet(t, catalyzer.FleetConfig{Machines: machines})
+		srv := serve(t, c)
+		post(t, srv, "/deploy?fn=c-hello")
+		if resp := post(t, srv, "/invoke?fn=c-hello&boot=fork"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("pre-drain invoke = %d", resp.StatusCode)
+		}
 
-	c.BeginDrain()
+		c.BeginDrain()
 
-	code, h := getHealth(t, srv.URL)
-	if code != http.StatusServiceUnavailable || h.Status != "draining" {
-		t.Fatalf("draining health = %d %+v", code, h)
-	}
-	if resp := post(t, srv, "/invoke?fn=c-hello&boot=fork"); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("invoke during drain = %d, want 503", resp.StatusCode)
-	}
-	ov := getOverload(t, srv.URL)
-	if !ov.Draining {
-		t.Fatalf("overload metrics not draining: %+v", ov)
-	}
-	// With nothing in flight the drain completes immediately.
-	if err := c.Drain(nil); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
+		code, h := getHealth(t, srv.URL)
+		if code != http.StatusServiceUnavailable || h.Status != "draining" {
+			t.Fatalf("draining health = %d %+v", code, h)
+		}
+		if resp := post(t, srv, "/invoke?fn=c-hello&boot=fork"); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("invoke during drain = %d, want 503", resp.StatusCode)
+		}
+		ov := getOverload(t, srv.URL)
+		if !ov.Draining {
+			t.Fatalf("overload metrics not draining: %+v", ov)
+		}
+		// With nothing in flight the drain completes immediately.
+		if err := c.Drain(nil); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+	})
 }
 
 func TestOverloadMetricsGauges(t *testing.T) {
-	c := catalyzer.NewClient(catalyzer.WithAdmission(catalyzer.AdmissionConfig{
-		MaxConcurrent: 4, MaxPerFunction: 2, QueueDepth: 8,
-	}))
-	srv := httptest.NewServer(Handler(c))
-	t.Cleanup(srv.Close)
-	post(t, srv, "/deploy?fn=c-hello")
-	for i := 0; i < 3; i++ {
-		if resp := post(t, srv, "/invoke?fn=c-hello&boot=fork"); resp.StatusCode != http.StatusOK {
-			t.Fatalf("invoke %d = %d", i, resp.StatusCode)
+	forEachSize(t, func(t *testing.T, machines int) {
+		srv := serve(t, newFleet(t, catalyzer.FleetConfig{Machines: machines},
+			catalyzer.WithAdmission(catalyzer.AdmissionConfig{
+				MaxConcurrent: 4, MaxPerFunction: 2, QueueDepth: 8,
+			})))
+		post(t, srv, "/deploy?fn=c-hello")
+		for i := 0; i < 3; i++ {
+			if resp := post(t, srv, "/invoke?fn=c-hello&boot=fork"); resp.StatusCode != http.StatusOK {
+				t.Fatalf("invoke %d = %d", i, resp.StatusCode)
+			}
 		}
-	}
-	ov := getOverload(t, srv.URL)
-	if ov.Admitted < 3 || ov.InFlight != 0 || ov.QueueDepth != 0 {
-		t.Fatalf("overload metrics = %+v", ov)
-	}
-	if len(ov.PerFn) != 0 {
-		t.Fatalf("per-function gauge should be empty at rest: %+v", ov.PerFn)
-	}
+		ov := getOverload(t, srv.URL)
+		if ov.Admitted < 3 || ov.InFlight != 0 || ov.QueueDepth != 0 {
+			t.Fatalf("overload metrics = %+v", ov)
+		}
+		if len(ov.PerFn) != 0 {
+			t.Fatalf("per-function gauge should be empty at rest: %+v", ov.PerFn)
+		}
+	})
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -15,13 +14,8 @@ import (
 // carries Retry-After, not a bare 503, so well-behaved clients back off
 // instead of hammering a fleet that is mid-restart.
 func TestFleetNoSurvivorsOverHTTPRetryAfter(t *testing.T) {
-	f, err := catalyzer.NewFleet(catalyzer.FleetConfig{Machines: 2, Replication: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(f.Close)
-	srv := httptest.NewServer(FleetHandler(f))
-	t.Cleanup(srv.Close)
+	f := newFleet(t, catalyzer.FleetConfig{Machines: 2, Replication: 2})
+	srv := serve(t, f)
 
 	if resp := post(t, srv, "/deploy?fn=c-hello"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("deploy status = %d", resp.StatusCode)
@@ -47,15 +41,10 @@ func TestFleetNoSurvivorsOverHTTPRetryAfter(t *testing.T) {
 // its zone, /health summarizes membership per zone, and /metrics
 // carries the zone and repair-budget counters.
 func TestFleetZoneDegradedOverHTTP(t *testing.T) {
-	f, err := catalyzer.NewFleet(catalyzer.FleetConfig{
+	f := newFleet(t, catalyzer.FleetConfig{
 		Machines: 4, Replication: 2, Zones: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(f.Close)
-	srv := httptest.NewServer(FleetHandler(f))
-	t.Cleanup(srv.Close)
+	srv := serve(t, f)
 
 	if resp := post(t, srv, "/deploy?fn=c-hello"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("deploy status = %d", resp.StatusCode)

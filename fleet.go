@@ -2,14 +2,19 @@ package catalyzer
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
+	"sync"
 
+	"catalyzer/internal/admission"
 	"catalyzer/internal/costmodel"
 	"catalyzer/internal/faults"
 	"catalyzer/internal/fleet"
 	"catalyzer/internal/image"
 	"catalyzer/internal/platform"
+	"catalyzer/internal/workload"
 )
 
 // Typed fleet errors, re-exported so callers branch with errors.Is.
@@ -151,22 +156,39 @@ type FleetConfig struct {
 // Fleet is a handle to N simulated machines behind the fleet control
 // plane: health-checked membership, consistent-hash placement with
 // bounded loads, R-way func-image replication, failover with replay,
-// and remote forks onto machines missing an image. Safe for concurrent
-// use; determinism holds for any fixed sequence of calls.
+// and remote forks onto machines missing an image. Every invocation
+// first passes the fleet's admission controller (WithAdmission), which
+// also drains it on shutdown. Safe for concurrent use; determinism
+// holds for any fixed sequence of calls.
 type Fleet struct {
 	fl    *fleet.Fleet
 	stats *statsCollector
+	adm   *admission.Controller
+
+	// mu guards machines (the platform currently behind each fleet
+	// index; a crashed machine's is replaced when it is rebuilt) and the
+	// report of the last Recover pass.
+	mu           sync.Mutex
+	machines     []*platform.Platform
+	lastRecovery *FleetRecovery
 }
 
 // NewFleet builds a fleet of cfg.Machines machines. The same options as
-// NewClient apply per machine (cost model, zygote pool, supervision
-// tuning); WithFaultSeed seeds the single injector that drives the whole
-// fleet's fault schedule — machine sites and per-machine boot sites
-// alike.
+// NewClient apply: admission (WithAdmission) at the fleet's front door,
+// and per machine the cost model, zygote pool, memory budget and
+// supervision tuning; WithFaultSeed seeds the single injector that
+// drives the whole fleet's fault schedule — machine sites and
+// per-machine boot sites alike.
 func NewFleet(cfg FleetConfig, opts ...Option) (*Fleet, error) {
 	c := config{cost: costmodel.Default()}
 	for _, o := range opts {
 		o(&c)
+	}
+	// fleet.New rejects a non-positive size before building any machine.
+	f := &Fleet{
+		stats:    newStatsCollector(),
+		adm:      admission.New(c.adm),
+		machines: make([]*platform.Platform, max(cfg.Machines, 0)),
 	}
 	pcfg := platformConfig(c)
 	fcfg := fleet.Config{
@@ -222,12 +244,21 @@ func NewFleet(cfg FleetConfig, opts ...Option) (*Fleet, error) {
 		if c.memPages > 0 {
 			p.SetMemoryBudget(c.memPages)
 		}
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		// A machine rebuilt after a crash keeps its predecessor's
+		// recovery tuning (SetRecoveryConfig).
+		if old := f.machines[idx]; old != nil {
+			p.SetRecoveryConfig(old.RecoveryConfig())
+		}
+		f.machines[idx] = p
 		return p, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Fleet{fl: fl, stats: newStatsCollector()}, nil
+	f.fl = fl
+	return f, nil
 }
 
 // Deploy registers a function fleet-wide: full artifacts on its
@@ -237,17 +268,56 @@ func (f *Fleet) Deploy(ctx context.Context, name string) error {
 	return f.fl.Deploy(ctx, name)
 }
 
-// Invoke serves one request on the fleet: consistent-hash placement
-// (spilling off overloaded machines), machine-fault draws at dispatch,
-// remote fork of missing artifacts, then the chosen machine's recovery
-// chain. Machine-level failures replay the invocation on the next
-// survivor with virtual-time backoff; Invocation.Machine reports who
-// served.
+// DeployCustom registers a user-defined function from its JSON workload
+// document (see Client.DeployCustom) and deploys it fleet-wide.
+func (f *Fleet) DeployCustom(ctx context.Context, doc []byte) (string, error) {
+	return deployCustom(ctx, doc, f.Deploy)
+}
+
+// Train derives the user-guided pre-initialization variant of a
+// function (§6.7, see Client.Train) and deploys it fleet-wide, so the
+// variant replicates like any other function. It returns the variant's
+// name ("<name>@pretrained").
+func (f *Fleet) Train(ctx context.Context, name string, fraction float64) (string, error) {
+	base, err := workload.Registry(name)
+	if err != nil {
+		return "", fmt.Errorf("%w: %v", ErrNotRegistered, err)
+	}
+	variant, err := workload.PreInitVariant(base, fraction)
+	if err != nil {
+		return "", err
+	}
+	// A re-trained variant is already registered; deploying it again
+	// re-establishes its replica set.
+	if err := workload.RegisterCustom(variant); err != nil && !errors.Is(err, workload.ErrAlreadyRegistered) {
+		return "", err
+	}
+	if err := f.Deploy(ctx, variant.Name); err != nil {
+		return "", err
+	}
+	return variant.Name, nil
+}
+
+// Invoke serves one request on the fleet. The request first passes the
+// fleet's admission controller (queueing or shedding under overload per
+// WithAdmission), then consistent-hash placement (spilling off
+// overloaded machines), machine-fault draws at dispatch, remote fork of
+// missing artifacts, and the chosen machine's recovery chain.
+// Machine-level failures replay the invocation on the next survivor
+// with virtual-time backoff; Invocation.Machine reports who served.
 func (f *Fleet) Invoke(ctx context.Context, name string, kind BootKind) (*Invocation, error) {
 	sys, ok := kindToSystem[kind]
 	if !ok {
 		return nil, fmt.Errorf("%w: boot kind %q", ErrUnknownSystem, kind)
 	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	release, err := f.adm.Acquire(ctx, name)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
 	arrival := f.fl.Now()
 	res, machine, err := f.fl.Invoke(ctx, name, sys)
 	if err != nil {
@@ -355,7 +425,19 @@ func (f *Fleet) Recover(ctx context.Context) (*FleetRecovery, error) {
 	if rep == nil {
 		return nil, err
 	}
-	return &FleetRecovery{Recovered: rep.Recovered, Failed: rep.Failed}, err
+	out := &FleetRecovery{Recovered: rep.Recovered, Failed: rep.Failed}
+	f.mu.Lock()
+	f.lastRecovery = out
+	f.mu.Unlock()
+	return out, err
+}
+
+// RecoveryReport returns the report of the most recent Recover pass, or
+// nil if Recover has not run.
+func (f *Fleet) RecoveryReport() *FleetRecovery {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.lastRecovery
 }
 
 // InstallScenario anchors a fault timeline at the current fleet clock:
@@ -409,6 +491,118 @@ type FleetStats = fleet.Stats
 // FleetStats returns a snapshot of the fleet control plane's
 // accounting.
 func (f *Fleet) FleetStats() FleetStats { return f.fl.Stats() }
+
+// members snapshots the platform behind every fleet index.
+func (f *Fleet) members() []*platform.Platform {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]*platform.Platform(nil), f.machines...)
+}
+
+// FailureStats sums the machines' failure-recovery accounting: counters
+// and per-key counts add up, Breakers keeps each "function/system"
+// breaker's most severe state across machines, and Faults is the
+// shared injector's per-site counts, which every machine reports
+// identically. A machine rebuilt after a crash counts from zero.
+func (f *Fleet) FailureStats() FailureStats {
+	ms := f.members()
+	out := ms[0].FailureStats()
+	for _, p := range ms[1:] {
+		st := p.FailureStats()
+		addCounters(&out, &st)
+		for k, state := range st.Breakers {
+			if breakerSeverity[state] > breakerSeverity[out.Breakers[k]] {
+				out.Breakers[k] = state
+			}
+		}
+	}
+	return out
+}
+
+// breakerSeverity orders breaker states for merging across machines.
+var breakerSeverity = map[string]int{"closed": 1, "half-open": 2, "open": 3}
+
+// SuperviseStats sums the machines' runtime supervision accounting.
+func (f *Fleet) SuperviseStats() SuperviseStats {
+	ms := f.members()
+	out := ms[0].SuperviseStats()
+	for _, p := range ms[1:] {
+		st := p.SuperviseStats()
+		addCounters(&out, &st)
+	}
+	return out
+}
+
+// ParkedFunctions lists the functions parked as crash-looping on any
+// machine, each with the largest remaining virtual park time.
+func (f *Fleet) ParkedFunctions() map[string]Duration {
+	ms := f.members()
+	out := ms[0].ParkedFunctions()
+	for _, p := range ms[1:] {
+		for fn, left := range p.ParkedFunctions() {
+			out[fn] = max(out[fn], left)
+		}
+	}
+	return out
+}
+
+// addCounters adds every integer field of *src into *dst, and every
+// integer-valued map per key; fields of other kinds are left alone.
+// Both must point to the same struct type.
+func addCounters(dst, src any) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem()
+	for i := 0; i < d.NumField(); i++ {
+		df, sf := d.Field(i), s.Field(i)
+		switch {
+		case df.CanInt():
+			df.SetInt(df.Int() + sf.Int())
+		case df.Kind() == reflect.Map && df.Type().Elem().Kind() == reflect.Int:
+			if df.IsNil() {
+				df.Set(reflect.MakeMap(df.Type()))
+			}
+			for it := sf.MapRange(); it.Next(); {
+				n := it.Value().Int()
+				if cur := df.MapIndex(it.Key()); cur.IsValid() {
+					n += cur.Int()
+				}
+				df.SetMapIndex(it.Key(), reflect.ValueOf(n).Convert(df.Type().Elem()))
+			}
+		}
+	}
+}
+
+// SetRecoveryConfig replaces every machine's recovery tuning (retries,
+// breakers, quarantine thresholds), including machines rebuilt after a
+// crash. Existing breaker state is reset.
+func (f *Fleet) SetRecoveryConfig(cfg RecoveryConfig) {
+	// Holding mu orders this against a concurrent rebuild, which copies
+	// the tuning of the machine it replaces.
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, p := range f.machines {
+		p.SetRecoveryConfig(cfg)
+	}
+}
+
+// OverloadStats returns a snapshot of the fleet's admission/overload
+// accounting.
+func (f *Fleet) OverloadStats() OverloadStats { return f.adm.Snapshot() }
+
+// BeginDrain stops admitting new work: subsequent invocations fail with
+// ErrDraining while queued and in-flight work proceeds.
+func (f *Fleet) BeginDrain() { f.adm.BeginDrain() }
+
+// Draining reports whether the fleet has stopped admitting.
+func (f *Fleet) Draining() bool { return f.adm.Draining() }
+
+// Drain stops admissions and waits for in-flight work and the admission
+// queue to finish; see Client.Drain for the deadline semantics.
+func (f *Fleet) Drain(ctx context.Context) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return f.adm.Drain(ctx)
+}
 
 // Close shuts the fleet down: membership probes stop, then every member
 // machine closes (templates retired, mappings closed, supervision

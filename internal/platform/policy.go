@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"fmt"
 	"sync"
 
 	"catalyzer/internal/simtime"
@@ -177,77 +176,3 @@ func (r *Router) Frequency(name string) int {
 	}
 	return r.frequency(st)
 }
-
-// Cluster schedules invocations across multiple machines with
-// least-loaded placement — the multi-server deployment shape of §6.9.
-type Cluster struct {
-	platforms []*Platform
-	routers   []*Router
-}
-
-// NewCluster builds n machines with the given cost model.
-func NewCluster(n int, build func() *Platform) (*Cluster, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: cluster needs at least one machine", ErrBadConfig)
-	}
-	c := &Cluster{}
-	for i := 0; i < n; i++ {
-		p := build()
-		c.platforms = append(c.platforms, p)
-		c.routers = append(c.routers, NewRouter(p, DefaultRouterConfig()))
-	}
-	return c, nil
-}
-
-// Size returns the number of machines.
-func (c *Cluster) Size() int { return len(c.platforms) }
-
-// leastLoaded picks the machine with the fewest live instances.
-func (c *Cluster) leastLoaded() int {
-	best, bestLive := 0, c.platforms[0].LiveInstances()
-	for i := 1; i < len(c.platforms); i++ {
-		if l := c.platforms[i].LiveInstances(); l < bestLive {
-			best, bestLive = i, l
-		}
-	}
-	return best
-}
-
-// Invoke places one request on the least-loaded machine, routed by that
-// machine's policy engine. It returns the result and the machine index.
-//
-//lint:allow ctxflow context-first-entry waived: cluster simulation drives synchronous virtual-time machine work (experiment harness, not a serving path)
-func (c *Cluster) Invoke(name string) (*Result, int, error) {
-	i := c.leastLoaded()
-	res, err := c.routers[i].Invoke(name)
-	return res, i, err
-}
-
-// Start boots and keeps an instance on the least-loaded machine.
-//
-//lint:allow ctxflow context-first-entry waived: cluster simulation drives synchronous virtual-time machine work (experiment harness, not a serving path)
-func (c *Cluster) Start(name string, sys System) (*Result, int, error) {
-	i := c.leastLoaded()
-	p := c.platforms[i]
-	if sys == CatalyzerSfork {
-		if _, err := p.PrepareTemplate(name); err != nil {
-			return nil, i, err
-		}
-	} else if _, err := p.PrepareImage(name); err != nil {
-		return nil, i, err
-	}
-	res, err := p.InvokeKeep(name, sys)
-	return res, i, err
-}
-
-// Live returns per-machine live-instance counts.
-func (c *Cluster) Live() []int {
-	out := make([]int, len(c.platforms))
-	for i, p := range c.platforms {
-		out[i] = p.LiveInstances()
-	}
-	return out
-}
-
-// Machine exposes one platform (tests).
-func (c *Cluster) Machine(i int) *Platform { return c.platforms[i] }

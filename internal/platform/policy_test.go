@@ -142,111 +142,3 @@ func TestRouterZeroConfigUsesDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestClusterBalancesLoad(t *testing.T) {
-	c, err := NewCluster(3, func() *Platform { return New(costmodel.Default()) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Size() != 3 {
-		t.Fatalf("Size = %d", c.Size())
-	}
-	var results []*Result
-	counts := map[int]int{}
-	for i := 0; i < 9; i++ {
-		res, machine, err := c.Start("deathstar-text", CatalyzerSfork)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, res)
-		counts[machine]++
-	}
-	// Least-loaded placement: instances spread across machines. Each
-	// machine also runs a long-lived template, so counts stay balanced.
-	live := c.Live()
-	for i, l := range live {
-		if l < 3 {
-			t.Fatalf("machine %d live = %d; placement unbalanced: %v (placements %v)", i, l, live, counts)
-		}
-	}
-	for _, r := range results {
-		r.Sandbox.Release()
-	}
-	if _, err := NewCluster(0, nil); err == nil {
-		t.Fatal("empty cluster accepted")
-	}
-}
-
-func TestClusterLeastLoadedTieBreaksLowestIndex(t *testing.T) {
-	c, err := NewCluster(3, func() *Platform { return New(costmodel.Default()) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All machines idle: ties must break to the lowest index, and each
-	// kept instance must shift the next placement to the next machine —
-	// the deterministic sequence 0,1,2 then back to 0. Same-seed fleet
-	// runs are byte-identical only if this never depends on map order.
-	var results []*Result
-	for round := 0; round < 2; round++ {
-		for want := 0; want < 3; want++ {
-			res, machine, err := c.Start("c-hello", CatalyzerRestore)
-			if err != nil {
-				t.Fatal(err)
-			}
-			results = append(results, res)
-			if machine != want {
-				t.Fatalf("round %d: equal-load placement chose machine %d, want %d", round, machine, want)
-			}
-		}
-	}
-	for _, r := range results {
-		r.Sandbox.Release()
-	}
-}
-
-func TestClusterStartAttributesFailureToChosenMachine(t *testing.T) {
-	c, err := NewCluster(2, func() *Platform { return New(costmodel.Default()) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Load machine 0 so least-loaded placement picks machine 1, then fail
-	// preparation there: the error must be attributed to machine 1, not
-	// to a hardcoded machine 0.
-	res, machine, err := c.Start("c-hello", CatalyzerRestore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Sandbox.Release()
-	if machine != 0 {
-		t.Fatalf("first placement on machine %d, want 0", machine)
-	}
-	for _, sys := range []System{CatalyzerSfork, CatalyzerRestore} {
-		if _, machine, err := c.Start("no-such-function", sys); err == nil {
-			t.Fatalf("%s start of unknown function succeeded", sys)
-		} else if machine != 1 {
-			t.Fatalf("%s failure attributed to machine %d, want 1", sys, machine)
-		}
-	}
-}
-
-func TestClusterRoutedInvoke(t *testing.T) {
-	c, err := NewCluster(2, func() *Platform { return New(costmodel.Default()) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		res, machine, err := c.Invoke("c-hello")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if machine < 0 || machine >= 2 {
-			t.Fatalf("machine index %d", machine)
-		}
-		if res.BootLatency <= 0 {
-			t.Fatal("degenerate result")
-		}
-	}
-	if c.Machine(0) == nil || c.Machine(1) == nil {
-		t.Fatal("Machine accessor broken")
-	}
-}
