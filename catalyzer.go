@@ -238,6 +238,11 @@ type Client struct {
 	// Recover pass.
 	recMu        sync.Mutex
 	lastRecovery *RecoveryReport
+
+	// arrived, when set, runs after an invocation reads its arrival time
+	// and before any machine work; tests use it to line concurrent
+	// requests up independently of goroutine scheduling.
+	arrived func()
 }
 
 func newClient(cfg config) *Client {
@@ -410,6 +415,9 @@ func (c *Client) Invoke(ctx context.Context, name string, kind BootKind) (*Invoc
 	l.RLock()
 	defer l.RUnlock()
 	arrival := c.p.Now()
+	if c.arrived != nil {
+		c.arrived()
+	}
 	//lint:allow lockdiscipline no-machine-work-under-lock waived: read-held fn lock lets invokes run concurrently while deploys exclude them; the reclaim path takes no fn locks
 	r, err := c.p.InvokeRecover(ctx, name, sys)
 	if err != nil {

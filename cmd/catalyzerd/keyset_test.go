@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -93,35 +92,42 @@ func checkKeys(t *testing.T, srv *httptest.Server, path string, want []string) {
 	}
 }
 
-// TestMetricsKeySet pins every JSON key path of /metrics and /health,
-// with every map-valued section populated, on two fleets: one machine
-// that is store-backed, recovered and fault-armed (the daemon's
-// single-machine shape), and three machines over two zones. Both serve
-// the same key set.
-func TestMetricsKeySet(t *testing.T) {
-	for _, cfg := range []catalyzer.FleetConfig{
-		{Machines: 1, StoreDir: t.TempDir()},
-		{Machines: 3, Replication: 2, Zones: 2},
-	} {
-		t.Run(fmt.Sprintf("%d-machines", cfg.Machines), func(t *testing.T) {
-			f := newFleet(t, cfg, catalyzer.WithFaultSeed(3))
-			if _, err := f.Recover(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			srv := serve(t, f)
-			post(t, srv, "/deploy?fn=c-hello")
-			if err := f.ArmFault("sfork", 1); err != nil {
-				t.Fatal(err)
-			}
-			for _, boot := range []string{"fork", "warm", "cold"} {
-				if resp := post(t, srv, "/invoke?fn=c-hello&boot="+boot); resp.StatusCode != http.StatusOK {
-					t.Fatalf("invoke %s = %d", boot, resp.StatusCode)
-				}
-			}
-			checkKeys(t, srv, "/metrics", metricsKeys)
-			checkKeys(t, srv, "/health", healthKeys)
-		})
+// TestMetricsKeySetSingleMachine pins every JSON key path of /metrics
+// and /health on the daemon's single-machine shape, with every
+// map-valued section populated: a store-backed one-machine fleet that
+// ran Recover, and a fault armed so breakers, fallbacks and injection
+// counts have entries.
+func TestMetricsKeySetSingleMachine(t *testing.T) {
+	checkFleetKeys(t, catalyzer.FleetConfig{Machines: 1, StoreDir: t.TempDir()})
+}
+
+// TestMetricsKeySetFleet pins the same key paths on three machines over
+// two zones: every fleet size serves one key set.
+func TestMetricsKeySetFleet(t *testing.T) {
+	checkFleetKeys(t, catalyzer.FleetConfig{Machines: 3, Replication: 2, Zones: 2})
+}
+
+// checkFleetKeys serves a recovered, fault-armed fleet built from cfg,
+// invokes every boot kind, and compares the /metrics and /health key
+// paths with metricsKeys and healthKeys.
+func checkFleetKeys(t *testing.T, cfg catalyzer.FleetConfig) {
+	t.Helper()
+	f := newFleet(t, cfg, catalyzer.WithFaultSeed(3))
+	if _, err := f.Recover(context.Background()); err != nil {
+		t.Fatal(err)
 	}
+	srv := serve(t, f)
+	post(t, srv, "/deploy?fn=c-hello")
+	if err := f.ArmFault("sfork", 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, boot := range []string{"fork", "warm", "cold"} {
+		if resp := post(t, srv, "/invoke?fn=c-hello&boot="+boot); resp.StatusCode != http.StatusOK {
+			t.Fatalf("invoke %s = %d", boot, resp.StatusCode)
+		}
+	}
+	checkKeys(t, srv, "/metrics", metricsKeys)
+	checkKeys(t, srv, "/health", healthKeys)
 }
 
 // metricsKeys is every /metrics key path.

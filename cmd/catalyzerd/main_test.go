@@ -423,7 +423,7 @@ func TestRestartRecovery(t *testing.T) {
 
 // TestMetricsSuperviseSection: /metrics carries the full supervision
 // counter set (the daemon encodes supervise.Stats directly, and
-// TestMetricsKeySet pins every key).
+// the TestMetricsKeySet tests pin every key).
 func TestMetricsSuperviseSection(t *testing.T) {
 	srv := newTestServer(t)
 	post(t, srv, "/deploy?fn=c-hello")

@@ -3,7 +3,6 @@ package catalyzer
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -91,12 +90,6 @@ func TestOverloadProtectionUnderBurst(t *testing.T) {
 // (last completion − first arrival) is strictly less than the
 // serialized sum of their individual latencies.
 func TestIndependentFunctionsOverlapInVirtualTime(t *testing.T) {
-	// On a single-CPU machine GOMAXPROCS=1 runs each goroutine to
-	// completion before the next starts, so no arrival window can ever
-	// overlap; give the scheduler room to interleave.
-	if runtime.GOMAXPROCS(0) < 4 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	}
 	c := NewClient()
 	defer c.Close()
 	fns := []string{"c-hello", "java-hello"}
@@ -106,54 +99,55 @@ func TestIndependentFunctionsOverlapInVirtualTime(t *testing.T) {
 		}
 	}
 
-	const perFn = 8
-	// Goroutine scheduling decides how many requests read the clock
-	// before the first finishes; retry the experiment rather than flake.
-	for attempt := 0; attempt < 5; attempt++ {
-		invs := make([]*Invocation, 0, len(fns)*perFn)
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for _, fn := range fns {
-			for i := 0; i < perFn; i++ {
-				wg.Add(1)
-				go func(fn string) {
-					defer wg.Done()
-					<-start
-					inv, err := c.Invoke(context.Background(), fn, ForkBoot)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					mu.Lock()
-					invs = append(invs, inv)
-					mu.Unlock()
-				}(fn)
-			}
-		}
-		close(start)
-		wg.Wait()
-		if t.Failed() {
-			return
-		}
+	const n = 2 * 8
+	// Hold each request between its arrival read and its machine work
+	// until all n have arrived, so the burst is concurrent however the
+	// goroutines happen to be scheduled. Were invocations excluded from
+	// each other before their arrival read, the barrier would never
+	// fill and the timeout below fires.
+	var arrived sync.WaitGroup
+	arrived.Add(n)
+	c.arrived = func() { arrived.Done(); arrived.Wait() }
 
-		var sum Duration
-		minArrival, maxCompletion := invs[0].Arrival, invs[0].Completion
-		for _, inv := range invs {
-			sum += inv.Total()
-			if inv.Arrival < minArrival {
-				minArrival = inv.Arrival
-			}
-			if inv.Completion > maxCompletion {
-				maxCompletion = inv.Completion
-			}
-		}
-		if makespan := maxCompletion - minArrival; makespan < sum {
-			t.Logf("attempt %d: makespan %v < serialized %v", attempt, makespan, sum)
-			return
+	invs := make([]*Invocation, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			invs[i], errs[i] = c.Invoke(context.Background(), fns[i%len(fns)], ForkBoot)
+		}(i)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("concurrent invocations never all arrived: requests serialize before reading their arrival time")
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	t.Fatal("no virtual-time overlap in 5 attempts: concurrent invocations serialized")
+
+	var sum Duration
+	minArrival, maxCompletion := invs[0].Arrival, invs[0].Completion
+	for _, inv := range invs {
+		sum += inv.Total()
+		if inv.Arrival < minArrival {
+			minArrival = inv.Arrival
+		}
+		if inv.Completion > maxCompletion {
+			maxCompletion = inv.Completion
+		}
+	}
+	makespan := maxCompletion - minArrival
+	if makespan >= sum {
+		t.Fatalf("no virtual-time overlap: makespan %v >= serialized %v", makespan, sum)
+	}
+	t.Logf("makespan %v < serialized %v", makespan, sum)
 }
 
 // TestClientConcurrentStress is the concurrent-hardening regression
