@@ -48,7 +48,7 @@ fuzz-smoke:
 # Concurrency hardening: the overload/stress/keep-warm suites twice each
 # under the race detector.
 stress:
-	$(GO) test -race -count=2 -run 'Overload|Stress|Concurrent|KeepWarm|Pressure' . ./cmd/catalyzerd/ ./internal/platform/ ./internal/admission/
+	$(GO) test -race -count=2 -run 'Overload|Stress|Concurrent|KeepWarm|Pressure' . ./cmd/catalyzerd/ ./internal/platform/ ./internal/admission/ ./internal/guest/ ./internal/core/
 
 # Full seeded chaos run (500 invocations at 30% fault rates) on its own.
 chaos:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"catalyzer/internal/costmodel"
@@ -158,6 +159,43 @@ func TestRestoredStateMatchesImage(t *testing.T) {
 	}
 	if d <= s.Spec.ExecCost(s.Opts.Profile) {
 		t.Fatal("restored execution did not pay demand faults/lazy reconnects")
+	}
+}
+
+// Machines restoring one func-image at once share its fixed-up kernel
+// records, yet each boot is charged the same virtual time whichever of
+// them did the fixup, and each gets the image's kernel (run under -race).
+func TestConcurrentBootRestoreSharesImage(t *testing.T) {
+	img := buildImage(t, "c-nginx")
+	type result struct {
+		sig   uint64
+		total simtime.Duration
+		err   error
+	}
+	results := make([]result, 4)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(r *result) {
+			defer wg.Done()
+			c := New(sandbox.NewMachine(costmodel.Default()))
+			s, _, tl, err := c.BootRestore(img, newRootFS(), nil, nil, nil, AllFlags())
+			if err != nil {
+				r.err = err
+				return
+			}
+			r.sig, r.total = s.Kernel.Signature(), tl.Total()
+			_, r.err = s.Execute()
+		}(&results[i])
+	}
+	wg.Wait()
+	for i, r := range results {
+		if r.err != nil {
+			t.Fatalf("boot %d: %v", i, r.err)
+		}
+		if r != results[0] {
+			t.Fatalf("boot %d = %+v, boot 0 = %+v; want identical", i, r, results[0])
+		}
 	}
 }
 

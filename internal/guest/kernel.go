@@ -10,6 +10,7 @@ package guest
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"catalyzer/internal/serial"
 	"catalyzer/internal/simenv"
@@ -41,11 +42,13 @@ func IsCritical(kind uint8) bool {
 type Kernel struct {
 	env *simenv.Env
 	// The object graph is held in one of two forms. A kernel restored by
-	// separated state recovery keeps its private, fixed-up record region
-	// in rec — the mapped state is the live state — and objects is nil;
-	// readers decode rec on demand and the first mutation materializes
-	// it into objects (setting rec to nil). Every other kernel holds
-	// objects and a nil rec.
+	// separated state recovery points rec at its checkpoint's fixed-up
+	// record region — the mapped state is the live state — and objects
+	// is nil. That region is shared read-only by every kernel restored
+	// from the checkpoint, so nothing writes into it: readers decode rec
+	// on demand, and the first mutation materializes it into objects
+	// (setting rec to nil) and only appends from then on. Every other
+	// kernel holds objects and a nil rec.
 	objects []serial.Object
 	rec     *serial.Records
 	byKind  [KindMisc + 1]int
@@ -178,9 +181,10 @@ func (k *Kernel) Objects() []serial.Object {
 	return append([]serial.Object(nil), k.graph()...)
 }
 
-// graph returns the object graph without writing to k: the materialized
-// objects, or a fresh decode of the restored record region. Concurrent
-// sforks read template kernels, so a decode here is never cached.
+// graph returns the object graph without writing to k or its record
+// region: the materialized objects, or a fresh decode of the shared
+// fixed-up region, whose payloads alias it read-only. Concurrent sforks
+// read template kernels, so a decode here is never cached.
 func (k *Kernel) graph() []serial.Object {
 	if k.rec == nil {
 		return k.objects
@@ -225,6 +229,11 @@ func (k *Kernel) CloneShared() *Kernel {
 // Checkpoint is the captured guest-kernel state in both formats plus the
 // I/O connection records. Offline artifacts carry their own stats so the
 // experiment harness can report sizes (Table 3).
+//
+// A Checkpoint is immutable once Capture or image.Decode returns it:
+// restores share it, and the first separated restore caches the fixed-up
+// record region every later one reuses. It holds a sync.Once, so pass it
+// by pointer only.
 type Checkpoint struct {
 	Baseline      []byte          // flate-compressed one-by-one stream
 	Records       *serial.Records // partially-deserialized records + relation table
@@ -234,6 +243,33 @@ type Checkpoint struct {
 	RecordStats   serial.Stats
 	CriticalCount int
 	Seed          uint64
+
+	// The fixup of Records, done once by the first separated restore:
+	// the fixed-up copy of the region, the number of fixups applied, or
+	// the error that rejected the relation table.
+	fixupOnce sync.Once
+	fixed     *serial.Records
+	fixups    int
+	fixupErr  error
+}
+
+// fixup returns the checkpoint's fixed-up records, copying the region and
+// replaying the relation table on the first call only. The result is
+// shared by every kernel restored from cp and must not be written.
+func (cp *Checkpoint) fixup() (*serial.Records, int, error) {
+	cp.fixupOnce.Do(func() {
+		// Fix up a copy: the mapped image stays as it was captured.
+		rec := &serial.Records{
+			Region:    append([]byte(nil), cp.Records.Region...),
+			Relations: cp.Records.Relations,
+			Index:     cp.Records.Index,
+		}
+		cp.fixups, cp.fixupErr = serial.FixupRecords(rec)
+		if cp.fixupErr == nil {
+			cp.fixed = rec
+		}
+	})
+	return cp.fixed, cp.fixups, cp.fixupErr
 }
 
 // Capture checkpoints the kernel in both formats (offline work: the cost
@@ -315,25 +351,20 @@ func restoredKernel(env *simenv.Env, cp *Checkpoint, kinds *[256]int, objs []ser
 
 // RestoreSeparated rebuilds a kernel's object graph with separated state
 // recovery (§3.2): map the record region, replay the relation table in
-// parallel, and establish critical non-I/O system state. The fixed-up
-// region becomes the kernel's object graph as it is; one validating
-// pass counts its kinds and no object is decoded. The I/O connection
-// table is attached by the caller per its reconnection policy (§3.3).
+// parallel, and establish critical non-I/O system state. The relation
+// table is replayed once per checkpoint; every restore maps the same
+// fixed-up region read-only and uses it as its object graph as it is,
+// charged as if it did the fixups itself. One validating pass per restore
+// bounds-checks the region and counts its kinds; no object is decoded.
+// The I/O connection table is attached by the caller per its reconnection
+// policy (§3.3).
 func RestoreSeparated(env *simenv.Env, cp *Checkpoint) (*Kernel, error) {
 	// Stage 1: map the partially-deserialized objects.
 	regionKB := (len(cp.Records.Region) + 1023) / 1024
 	env.ChargeN(env.Cost.MetadataMapPerKB, regionKB)
 
-	// Work on a private copy of the region: the mapped image is shared
-	// and CoW.
-	rec := &serial.Records{
-		Region:    append([]byte(nil), cp.Records.Region...),
-		Relations: cp.Records.Relations,
-		Index:     cp.Records.Index,
-	}
-
 	// Stage 2: relation-table fixups, independent and parallel.
-	n, err := serial.FixupRecords(rec)
+	rec, n, err := cp.fixup()
 	if err != nil {
 		return nil, fmt.Errorf("guest: fixup: %w", err)
 	}

@@ -2,6 +2,7 @@ package guest
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 	"catalyzer/internal/costmodel"
 	"catalyzer/internal/serial"
 	"catalyzer/internal/simenv"
+	"catalyzer/internal/simtime"
 	"catalyzer/internal/vfs"
 )
 
@@ -240,6 +242,137 @@ func TestRestoreSeparatedAllocsConstant(t *testing.T) {
 	}
 	if got[0] != got[1] {
 		t.Fatalf("allocs per RestoreSeparated: %v at 1k objects, %v at 40k objects; want one constant", got[0], got[1])
+	}
+}
+
+// Concurrent restores of one checkpoint share a single fixup: every
+// kernel sees the captured graph through the same fixed-up region, and
+// the checkpoint's own region is left as it was captured (run under
+// -race).
+func TestConcurrentRestoreSharesFixup(t *testing.T) {
+	k := buildKernel(newEnv(), 3000)
+	cp, err := k.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := append([]byte(nil), cp.Records.Region...)
+	want := k.Signature()
+	kernels := make([]*Kernel, 16)
+	errs := make([]error, len(kernels))
+	var wg sync.WaitGroup
+	for i := range kernels {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			kernels[i], errs[i] = RestoreSeparated(newEnv(), cp)
+		}(i)
+	}
+	wg.Wait()
+	for i, r := range kernels {
+		if errs[i] != nil {
+			t.Fatalf("restore %d: %v", i, errs[i])
+		}
+		if r.Signature() != want {
+			t.Fatalf("restore %d: signature differs from the captured kernel", i)
+		}
+		if r.rec != kernels[0].rec {
+			t.Fatalf("restore %d has its own record region", i)
+		}
+	}
+	if string(region) != string(cp.Records.Region) {
+		t.Fatal("restores mutated the checkpoint's record region")
+	}
+}
+
+// Mutating one restored kernel leaves its siblings and the shared
+// fixed-up region untouched: the first mutation materializes a private
+// graph and only appends to it.
+func TestRestoredKernelMutationIsolated(t *testing.T) {
+	k := typedKernel(t)
+	cp, err := k.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := RestoreSeparated(newEnv(), cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := RestoreSeparated(newEnv(), cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := r2.rec
+	fixed := append([]byte(nil), shared.Region...)
+	want := r2.Signature()
+	if _, err := r1.NewTask(0); err != nil {
+		t.Fatal(err)
+	}
+	r1.CreateObjects(KindFD, 100)
+	if r1.rec != nil || r1.Signature() == want {
+		t.Fatal("mutation did not give r1 its own graph")
+	}
+	if r2.rec != shared || r2.Signature() != want {
+		t.Fatal("mutating r1 changed r2")
+	}
+	if string(fixed) != string(shared.Region) {
+		t.Fatal("mutating r1 wrote into the shared fixed-up region")
+	}
+}
+
+// A relation table the fixup rejects fails every restore of the
+// checkpoint the same way, and no restore charges fixup time for it.
+func TestRestoreSeparatedFixupErrorCached(t *testing.T) {
+	good, err := buildKernel(newEnv(), 500).Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := *good.Records
+	rec.Relations = append(append([]serial.Relation(nil), rec.Relations...),
+		serial.Relation{SlotOffset: uint64(len(rec.Region)) + 100})
+	bad := &Checkpoint{Records: &rec, CriticalCount: good.CriticalCount}
+	mapOnly := simtime.Duration((len(rec.Region)+1023)/1024) * newEnv().Cost.MetadataMapPerKB
+	var first error
+	for i := 0; i < 2; i++ {
+		env := newEnv()
+		_, err := RestoreSeparated(env, bad)
+		if err == nil {
+			t.Fatalf("restore %d of a bad checkpoint succeeded", i)
+		}
+		if i == 0 {
+			first = err
+		} else if err.Error() != first.Error() {
+			t.Fatalf("restore %d failed with %v, first with %v", i, err, first)
+		}
+		if env.Now() != mapOnly {
+			t.Fatalf("restore %d charged %v, want only the %v mapping", i, env.Now(), mapOnly)
+		}
+	}
+}
+
+// Only the first restore of a checkpoint copies its record region: every
+// later one allocates far less than the region, whatever its size.
+func TestRestoreSeparatedSharesRegionAllocs(t *testing.T) {
+	cp, err := NewKernel(newEnv(), 11, 40000).Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := newEnv()
+	if _, err := RestoreSeparated(env, cp); err != nil {
+		t.Fatal(err)
+	}
+	const restores = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < restores; i++ {
+		if _, err := RestoreSeparated(env, cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRestore := (after.TotalAlloc - before.TotalAlloc) / restores
+	if limit := uint64(len(cp.Records.Region) / 8); perRestore >= limit {
+		t.Fatalf("a repeat restore allocated %d bytes, want under %d (region %d bytes)",
+			perRestore, limit, len(cp.Records.Region))
 	}
 }
 

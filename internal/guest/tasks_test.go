@@ -204,7 +204,8 @@ func TestTaskTableRejectsMalformedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt a task payload's type tag inside the restored kernel's
-	// record region, which is its object graph.
+	// record region, which is its object graph. The region is cp's shared
+	// fixed-up copy; no other kernel restores from cp here.
 	if r.rec == nil || r.objects != nil {
 		t.Fatal("separated restore materialized the object graph")
 	}

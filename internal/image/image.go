@@ -16,7 +16,6 @@
 package image
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -100,40 +99,62 @@ const (
 	imageVersion = 1
 )
 
+// trailerBytes is the spare capacity Encode leaves after the image for
+// the CRC64 trailer Store.Save appends.
+const trailerBytes = 8
+
+// sectionWriter appends the image's fields to a buffer Encode presizes.
 type sectionWriter struct {
-	w   *bytes.Buffer
-	err error
+	b []byte
 }
 
-func (sw *sectionWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	sw.w.Write(b[:])
-}
+func (sw *sectionWriter) u32(v uint32) { sw.b = binary.LittleEndian.AppendUint32(sw.b, v) }
 
-func (sw *sectionWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	sw.w.Write(b[:])
-}
+func (sw *sectionWriter) u64(v uint64) { sw.b = binary.LittleEndian.AppendUint64(sw.b, v) }
 
 func (sw *sectionWriter) str(s string) {
 	sw.u32(uint32(len(s)))
-	sw.w.WriteString(s)
+	sw.b = append(sw.b, s...)
 }
 
 func (sw *sectionWriter) blob(b []byte) {
 	sw.u32(uint32(len(b)))
-	sw.w.Write(b)
+	sw.b = append(sw.b, b...)
 }
 
-// Encode serializes the image to its binary form.
+// Encode serializes the image to its binary form. The result is written
+// into one buffer of exactly its length plus trailerBytes of spare
+// capacity, so appending the store's checksum trailer does not copy it.
 func (img *Image) Encode() ([]byte, error) {
 	if err := img.Validate(); err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	sw := &sectionWriter{w: &buf}
+	cp := img.Kernel
+	mounts := vfs.EncodeMounts(cp.MountRecords)
+	var paths []string
+	if img.IOCache != nil {
+		paths = img.IOCache.Paths()
+	}
+
+	n := 4 + 4 + // magic, version
+		3*4 + len(img.Name) + len(img.Language) + len(img.Entry) +
+		8 + 8 + // memory pages, seed
+		4 + len(cp.Baseline) +
+		4 + len(cp.Records.Region) +
+		4 + 12*len(cp.Records.Relations) +
+		4 + 8*len(cp.Records.Index) +
+		4 + 5*len(cp.ConnRecords) +
+		4 + 8 + // critical count, seed
+		4 + len(mounts) +
+		4 + 4*len(paths)
+	for _, c := range cp.ConnRecords {
+		n += len(c.Path)
+	}
+	for _, p := range paths {
+		n += len(p)
+	}
+
+	sw := &sectionWriter{b: make([]byte, 0, n+trailerBytes)}
 	sw.u32(imageMagic)
 	sw.u32(imageVersion)
 	sw.str(img.Name)
@@ -142,7 +163,6 @@ func (img *Image) Encode() ([]byte, error) {
 	sw.u64(img.Mem.Pages)
 	sw.u64(img.Mem.Seed)
 
-	cp := img.Kernel
 	sw.blob(cp.Baseline)
 	sw.blob(cp.Records.Region)
 	sw.u32(uint32(len(cp.Records.Relations)))
@@ -156,78 +176,100 @@ func (img *Image) Encode() ([]byte, error) {
 	}
 	sw.u32(uint32(len(cp.ConnRecords)))
 	for _, c := range cp.ConnRecords {
-		sw.w.WriteByte(byte(c.Kind))
+		sw.b = append(sw.b, byte(c.Kind))
 		sw.str(c.Path)
 	}
 	sw.u32(uint32(cp.CriticalCount))
 	sw.u64(cp.Seed)
-	sw.blob(vfs.EncodeMounts(cp.MountRecords))
+	sw.blob(mounts)
 
-	if img.IOCache == nil {
-		sw.u32(0)
-	} else {
-		paths := img.IOCache.Paths()
-		sw.u32(uint32(len(paths)))
-		for _, p := range paths {
-			sw.str(p)
-		}
+	sw.u32(uint32(len(paths)))
+	for _, p := range paths {
+		sw.str(p)
 	}
-	return buf.Bytes(), nil
+	return sw.b, nil
 }
 
+// sectionReader consumes an encoded image front to back. What it returns
+// for a blob aliases the input.
 type sectionReader struct {
-	r *bytes.Reader
+	b []byte // the bytes not yet read
+}
+
+// take consumes the next n bytes, returning them with capacity capped at
+// n so an append to them cannot write into the rest of the input.
+func (sr *sectionReader) take(n uint64) ([]byte, error) {
+	if n > uint64(len(sr.b)) {
+		if len(sr.b) == 0 {
+			return nil, io.EOF
+		}
+		return nil, io.ErrUnexpectedEOF
+	}
+	b := sr.b[:n:n]
+	sr.b = sr.b[n:]
+	return b, nil
+}
+
+func (sr *sectionReader) u8() (byte, error) {
+	b, err := sr.take(1)
+	if err != nil {
+		return 0, err
+	}
+	return b[0], nil
 }
 
 func (sr *sectionReader) u32() (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(sr.r, b[:]); err != nil {
+	b, err := sr.take(4)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+	return binary.LittleEndian.Uint32(b), nil
 }
 
 func (sr *sectionReader) u64() (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(sr.r, b[:]); err != nil {
+	b, err := sr.take(8)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	return binary.LittleEndian.Uint64(b), nil
 }
 
 func (sr *sectionReader) str() (string, error) {
-	n, err := sr.u32()
-	if err != nil {
-		return "", err
-	}
-	if int(n) > sr.r.Len() {
-		return "", fmt.Errorf("string length %d exceeds remaining %d", n, sr.r.Len())
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(sr.r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
+	b, err := sr.blob()
+	return string(b), err
 }
 
+// blob reads a length-prefixed byte section as a sub-slice of the input.
 func (sr *sectionReader) blob() ([]byte, error) {
 	n, err := sr.u32()
 	if err != nil {
 		return nil, err
 	}
-	if int(n) > sr.r.Len() {
-		return nil, fmt.Errorf("blob length %d exceeds remaining %d", n, sr.r.Len())
+	if int(n) > len(sr.b) {
+		return nil, fmt.Errorf("blob length %d exceeds remaining %d", n, len(sr.b))
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(sr.r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
+	return sr.take(uint64(n))
 }
 
-// Decode parses a binary func-image.
+// table reads a count-prefixed table of fixed-width entries. The whole
+// table must be present before anything is allocated for it, so a
+// corrupt count fails here instead of sizing a huge slice.
+func (sr *sectionReader) table(width uint64) (uint32, []byte, error) {
+	count, err := sr.u32()
+	if err != nil {
+		return 0, nil, err
+	}
+	if uint64(count)*width > uint64(len(sr.b)) {
+		return 0, nil, fmt.Errorf("%d entries of %d bytes exceed remaining %d", count, width, len(sr.b))
+	}
+	b, err := sr.take(uint64(count) * width)
+	return count, b, err
+}
+
+// Decode parses a binary func-image. The baseline and record sections of
+// the result alias data, which must not be written afterwards.
 func Decode(data []byte) (*Image, error) {
-	sr := &sectionReader{r: bytes.NewReader(data)}
+	sr := &sectionReader{b: data}
 	fail := func(step string, err error) (*Image, error) {
 		return nil, fmt.Errorf("image: decode %s: %w", step, err)
 	}
@@ -264,40 +306,40 @@ func Decode(data []byte) (*Image, error) {
 	if img.Kernel.Baseline, err = sr.blob(); err != nil {
 		return fail("baseline", err)
 	}
-	if img.Kernel.Records.Region, err = sr.blob(); err != nil {
+	rec := img.Kernel.Records
+	if rec.Region, err = sr.blob(); err != nil {
 		return fail("records region", err)
 	}
-	nrel, err := sr.u32()
+	nrel, tab, err := sr.table(12)
 	if err != nil {
-		return fail("relation count", err)
+		return fail("relations", err)
 	}
-	for i := uint32(0); i < nrel; i++ {
-		var rel serial.Relation
-		if rel.SlotOffset, err = sr.u64(); err != nil {
-			return fail("relation slot", err)
+	if nrel > 0 {
+		rec.Relations = make([]serial.Relation, nrel)
+		for i := range rec.Relations {
+			e := tab[12*i:]
+			rec.Relations[i] = serial.Relation{
+				SlotOffset: binary.LittleEndian.Uint64(e),
+				Target:     binary.LittleEndian.Uint32(e[8:]),
+			}
 		}
-		if rel.Target, err = sr.u32(); err != nil {
-			return fail("relation target", err)
-		}
-		img.Kernel.Records.Relations = append(img.Kernel.Records.Relations, rel)
 	}
-	nidx, err := sr.u32()
+	nidx, tab, err := sr.table(8)
 	if err != nil {
-		return fail("index count", err)
+		return fail("index", err)
 	}
-	for i := uint32(0); i < nidx; i++ {
-		off, err := sr.u64()
-		if err != nil {
-			return fail("index entry", err)
+	if nidx > 0 {
+		rec.Index = make([]uint64, nidx)
+		for i := range rec.Index {
+			rec.Index[i] = binary.LittleEndian.Uint64(tab[8*i:])
 		}
-		img.Kernel.Records.Index = append(img.Kernel.Records.Index, off)
 	}
 	nconn, err := sr.u32()
 	if err != nil {
 		return fail("conn count", err)
 	}
 	for i := uint32(0); i < nconn; i++ {
-		kind, err := sr.r.ReadByte()
+		kind, err := sr.u8()
 		if err != nil {
 			return fail("conn kind", err)
 		}
@@ -336,8 +378,8 @@ func Decode(data []byte) (*Image, error) {
 			img.IOCache.RecordUse(p, false)
 		}
 	}
-	if sr.r.Len() != 0 {
-		return nil, fmt.Errorf("image: %d trailing bytes", sr.r.Len())
+	if len(sr.b) != 0 {
+		return nil, fmt.Errorf("image: %d trailing bytes", len(sr.b))
 	}
 	return img, img.Validate()
 }

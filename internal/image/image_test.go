@@ -1,6 +1,9 @@
 package image
 
 import (
+	"encoding/binary"
+	"hash/crc64"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -97,6 +100,24 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// The encoding is a stored and shipped format, so its bytes are pinned:
+// a codec change that moves them breaks every store and registry.
+func TestEncodeBytesPinned(t *testing.T) {
+	data, err := buildImage(t, 2000, 512).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want, wantLen = 0x4e85a5de5a5e6787, 132036
+	if got := crc64.Checksum(data, crcTable); got != want || len(data) != wantLen {
+		t.Fatalf("encoding CRC64 = %#x over %d bytes, want %#x over %d", got, len(data), want, wantLen)
+	}
+	// Encode sizes its buffer exactly, leaving room for the store's
+	// checksum trailer.
+	if cap(data) != len(data)+8 {
+		t.Fatalf("encoded %d bytes into a buffer of capacity %d, want %d", len(data), cap(data), len(data)+8)
+	}
+}
+
 func TestDecodeCorrupt(t *testing.T) {
 	img := buildImage(t, 100, 16)
 	data, err := img.Encode()
@@ -112,6 +133,34 @@ func TestDecodeCorrupt(t *testing.T) {
 	for name, c := range cases {
 		if _, err := Decode(c); err == nil {
 			t.Errorf("%s: Decode succeeded on corrupt image", name)
+		}
+	}
+}
+
+// A corrupt relation or index count fails before Decode sizes anything
+// by it, so a few bytes cannot make it allocate gigabytes.
+func TestDecodeHugeCountAllocatesLittle(t *testing.T) {
+	img := buildImage(t, 100, 16)
+	data, err := img.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := img.Kernel
+	relCount := 4 + 4 + 3*4 + len(img.Name) + len(img.Language) + len(img.Entry) + 8 + 8 +
+		4 + len(cp.Baseline) + 4 + len(cp.Records.Region)
+	idxCount := relCount + 4 + 12*len(cp.Records.Relations)
+	for name, off := range map[string]int{"relations": relCount, "index": idxCount} {
+		bad := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint32(bad[off:], 0xFFFFFFFF)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(bad)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: Decode accepted a count of 2^32-1", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(data)) {
+			t.Fatalf("%s: Decode allocated %d bytes for a %d-byte image", name, got, len(data))
 		}
 	}
 }
