@@ -245,31 +245,13 @@ type Checkpoint struct {
 	Seed          uint64
 
 	// The fixup of Records, done once by the first separated restore:
-	// the fixed-up copy of the region, the number of fixups applied, or
-	// the error that rejected the relation table.
+	// the fixed-up copy of the region, shared read-only by every kernel
+	// restored from cp, the number of fixups applied, or the error that
+	// rejected the relation table.
 	fixupOnce sync.Once
 	fixed     *serial.Records
 	fixups    int
 	fixupErr  error
-}
-
-// fixup returns the checkpoint's fixed-up records, copying the region and
-// replaying the relation table on the first call only. The result is
-// shared by every kernel restored from cp and must not be written.
-func (cp *Checkpoint) fixup() (*serial.Records, int, error) {
-	cp.fixupOnce.Do(func() {
-		// Fix up a copy: the mapped image stays as it was captured.
-		rec := &serial.Records{
-			Region:    append([]byte(nil), cp.Records.Region...),
-			Relations: cp.Records.Relations,
-			Index:     cp.Records.Index,
-		}
-		cp.fixups, cp.fixupErr = serial.FixupRecords(rec)
-		if cp.fixupErr == nil {
-			cp.fixed = rec
-		}
-	})
-	return cp.fixed, cp.fixups, cp.fixupErr
 }
 
 // Capture checkpoints the kernel in both formats (offline work: the cost
@@ -363,12 +345,25 @@ func RestoreSeparated(env *simenv.Env, cp *Checkpoint) (*Kernel, error) {
 	regionKB := (len(cp.Records.Region) + 1023) / 1024
 	env.ChargeN(env.Cost.MetadataMapPerKB, regionKB)
 
-	// Stage 2: relation-table fixups, independent and parallel.
-	rec, n, err := cp.fixup()
-	if err != nil {
-		return nil, fmt.Errorf("guest: fixup: %w", err)
+	// Stage 2: relation-table fixups, independent and parallel. The
+	// first restore of cp replays them over a copy of the region, so the
+	// mapped image stays as it was captured; every restore is charged.
+	cp.fixupOnce.Do(func() {
+		rec := &serial.Records{
+			Region:    append([]byte(nil), cp.Records.Region...),
+			Relations: cp.Records.Relations,
+			Index:     cp.Records.Index,
+		}
+		cp.fixups, cp.fixupErr = serial.FixupRecords(rec)
+		if cp.fixupErr == nil {
+			cp.fixed = rec
+		}
+	})
+	if cp.fixupErr != nil {
+		return nil, fmt.Errorf("guest: fixup: %w", cp.fixupErr)
 	}
-	env.ChargeParallel(simtime.Duration(n) * env.Cost.PointerFixup)
+	rec := cp.fixed
+	env.ChargeParallel(simtime.Duration(cp.fixups) * env.Cost.PointerFixup)
 
 	// Critical non-I/O system state is established on the critical path.
 	env.ChargeN(env.Cost.CriticalObjectRecover, cp.CriticalCount)

@@ -252,15 +252,12 @@ func (sr *sectionReader) blob() ([]byte, error) {
 }
 
 // table reads a count-prefixed table of fixed-width entries. The whole
-// table must be present before anything is allocated for it, so a
-// corrupt count fails here instead of sizing a huge slice.
+// table must be present before the caller sizes anything by its count,
+// so a corrupt count fails here instead of allocating gigabytes.
 func (sr *sectionReader) table(width uint64) (uint32, []byte, error) {
 	count, err := sr.u32()
 	if err != nil {
 		return 0, nil, err
-	}
-	if uint64(count)*width > uint64(len(sr.b)) {
-		return 0, nil, fmt.Errorf("%d entries of %d bytes exceed remaining %d", count, width, len(sr.b))
 	}
 	b, err := sr.take(uint64(count) * width)
 	return count, b, err
@@ -314,25 +311,21 @@ func Decode(data []byte) (*Image, error) {
 	if err != nil {
 		return fail("relations", err)
 	}
-	if nrel > 0 {
-		rec.Relations = make([]serial.Relation, nrel)
-		for i := range rec.Relations {
-			e := tab[12*i:]
-			rec.Relations[i] = serial.Relation{
-				SlotOffset: binary.LittleEndian.Uint64(e),
-				Target:     binary.LittleEndian.Uint32(e[8:]),
-			}
+	rec.Relations = make([]serial.Relation, nrel)
+	for i := range rec.Relations {
+		e := tab[12*i:]
+		rec.Relations[i] = serial.Relation{
+			SlotOffset: binary.LittleEndian.Uint64(e),
+			Target:     binary.LittleEndian.Uint32(e[8:]),
 		}
 	}
 	nidx, tab, err := sr.table(8)
 	if err != nil {
 		return fail("index", err)
 	}
-	if nidx > 0 {
-		rec.Index = make([]uint64, nidx)
-		for i := range rec.Index {
-			rec.Index[i] = binary.LittleEndian.Uint64(tab[8*i:])
-		}
+	rec.Index = make([]uint64, nidx)
+	for i := range rec.Index {
+		rec.Index[i] = binary.LittleEndian.Uint64(tab[8*i:])
 	}
 	nconn, err := sr.u32()
 	if err != nil {

@@ -508,7 +508,7 @@ func (s *Store) Save(img *Image) error {
 	if err != nil {
 		return err
 	}
-	var trailer [8]byte
+	var trailer [trailerBytes]byte
 	sum := crc64.Checksum(data, crcTable)
 	binary.LittleEndian.PutUint64(trailer[:], sum)
 	full := append(data, trailer[:]...)
