@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short race vet lint staticcheck fuzz-smoke stress chaos chaos-supervision chaos-fleet chaos-gray chaos-zone chaos-restart chaos-fleet-big bench bench-compare bench-test ci clean
+.PHONY: build test short race vet lint staticcheck examples fuzz-smoke stress chaos chaos-supervision chaos-fleet chaos-gray chaos-zone chaos-restart chaos-fleet-big bench bench-compare bench-test ci clean
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,14 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping"; \
 	fi
+
+# Every example program end to end with go run; the first non-zero exit
+# fails the target.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d >/dev/null || exit 1; \
+	done
 
 # Seed corpora for every fuzz target, then a short randomized budget.
 fuzz-smoke:
@@ -109,7 +117,7 @@ bench-compare:
 bench-test:
 	cd bench && $(GO) test ./...
 
-ci: vet staticcheck lint race bench-test
+ci: vet staticcheck lint race examples bench-test
 
 clean:
 	$(GO) clean ./...

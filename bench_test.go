@@ -64,7 +64,7 @@ func BenchmarkFig16dDup(b *testing.B)          { runExperiment(b, "fig16d") }
 // boot-ns/op custom units.
 func benchBoot(b *testing.B, fn string, kind BootKind) {
 	b.Helper()
-	c := NewClient()
+	c := newHost(b)
 	if err := c.Deploy(context.Background(), fn); err != nil {
 		b.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func BenchmarkRealEncodeRecords(b *testing.B) {
 // BenchmarkRealSfork measures the real CPU cost of one sfork (CoW clone
 // of a DeathStar-sized address space plus all bookkeeping).
 func BenchmarkRealSfork(b *testing.B) {
-	c := NewClient()
+	c := newHost(b)
 	if err := c.Deploy(context.Background(), "deathstar-text"); err != nil {
 		b.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func BenchmarkRealSfork(b *testing.B) {
 
 // BenchmarkRealCoWFault measures the memory subsystem's write-fault path.
 func BenchmarkRealCoWFault(b *testing.B) {
-	c := NewClient()
+	c := newHost(b)
 	if err := c.Deploy(context.Background(), "deathstar-composepost"); err != nil {
 		b.Fatal(err)
 	}

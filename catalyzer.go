@@ -3,16 +3,20 @@
 // initialized state instead of initializing them on the critical path
 // (init-less booting, ASPLOS '20).
 //
-// A Client owns one simulated host machine. Deploy registers a function
-// (by the name of a workload in the built-in registry) and prepares its
-// offline artifacts — the func-image with its partially-deserialized
-// metadata and I/O cache, the shared base memory mapping, and the
-// template sandbox for fork boot. Invoke then serves a request through
-// any boot strategy:
+// A Fleet owns N simulated host machines; a single host is a
+// one-machine fleet. Deploy registers a function (by the name of a
+// workload in the built-in registry) and prepares its offline artifacts
+// on the function's ring-primary machine — the func-image with its
+// partially-deserialized metadata and I/O cache, the shared base memory
+// mapping, and the template sandbox for fork boot — then replicates the
+// func-image to R−1 more machines. Invoke serves a request through any
+// boot strategy:
 //
-//	c := catalyzer.NewClient()
-//	if err := c.Deploy(ctx, "java-specjbb"); err != nil { ... }
-//	inv, err := c.Invoke(ctx, "java-specjbb", catalyzer.ForkBoot)
+//	f, err := catalyzer.NewFleet(catalyzer.FleetConfig{Machines: 1})
+//	if err != nil { ... }
+//	defer f.Close()
+//	if err := f.Deploy(ctx, "java-specjbb"); err != nil { ... }
+//	inv, err := f.Invoke(ctx, "java-specjbb", catalyzer.ForkBoot)
 //	fmt.Println(inv.BootLatency, inv.ExecLatency)
 //
 // Every serving method takes a context. The context bounds the whole
@@ -20,21 +24,19 @@
 // aborts between fallback stages), and execution — and expiry surfaces
 // as the typed ErrDeadlineExceeded / ErrCanceled.
 //
-// Clients are safe for concurrent use, and independent functions make
-// progress concurrently: registration, recovery accounting, and
-// per-function artifacts are guarded by fine-grained locks, while the
-// machine's virtual clock serializes only the simulated machine work
-// itself. Overload protection is configurable with WithAdmission
-// (concurrency caps + bounded queue shedding with ErrOverloaded) and
+// Fleets are safe for concurrent use, and independent functions make
+// progress concurrently: each machine's virtual clock serializes only
+// the simulated machine work itself, under that machine's own locks.
+// Overload protection is configurable with WithAdmission (concurrency
+// caps + bounded queue shedding with ErrOverloaded) and
 // WithMemoryBudget (boots under memory pressure evict idle keep-warm
 // instances and retire idle templates LRU-first instead of failing).
 //
-// A Fleet scales the same Deploy/Invoke surface across N simulated
-// machines behind a health-checked membership view and consistent-hash
-// placement with bounded loads: functions replicate to R machines,
-// whole-machine crashes and partitions are first-class injected faults,
-// failed dispatches replay on survivors, and a machine missing a
-// func-image remote-forks it from a replica peer. See NewFleet.
+// Behind the front door sit a health-checked membership view and
+// consistent-hash placement with bounded loads: whole-machine crashes
+// and partitions are first-class injected faults, failed dispatches
+// replay on survivors, and a machine missing a func-image remote-forks
+// it from a replica peer. See NewFleet.
 //
 // Latencies are deterministic virtual time derived from the work each
 // boot performs; see DESIGN.md for the calibration methodology.
@@ -42,13 +44,10 @@ package catalyzer
 
 import (
 	"context"
-	"fmt"
 	"sort"
-	"sync"
 
 	"catalyzer/internal/admission"
 	"catalyzer/internal/costmodel"
-	"catalyzer/internal/faults"
 	"catalyzer/internal/platform"
 	"catalyzer/internal/sandbox"
 	"catalyzer/internal/simtime"
@@ -102,7 +101,7 @@ var kindToSystem = map[BootKind]platform.System{
 	BaselineNative:        platform.Native,
 }
 
-// AdmissionConfig bounds how much work a client admits at once. Zero
+// AdmissionConfig bounds how much work a fleet admits at once. Zero
 // values mean unlimited concurrency and no queue (immediate shedding at
 // capacity).
 type AdmissionConfig struct {
@@ -115,7 +114,9 @@ type AdmissionConfig struct {
 	QueueDepth int
 }
 
-// Option configures a Client.
+// Option configures a Fleet: admission at its front door, and per
+// machine the cost model, Zygote pool, memory budget, supervision
+// tuning and fault seed.
 type Option func(*config)
 
 type config struct {
@@ -127,7 +128,7 @@ type config struct {
 	supervise  *SuperviseConfig
 }
 
-// platformConfig assembles the platform tuning from the client options.
+// platformConfig assembles the platform tuning from the options.
 // Options sanitize their inputs, so the result always validates.
 func platformConfig(cfg config) platform.Config {
 	pcfg := platform.DefaultConfig()
@@ -140,8 +141,8 @@ func platformConfig(cfg config) platform.Config {
 	return pcfg
 }
 
-// WithServerMachine runs the client on the paper's 96-core server
-// machine model instead of the 8-core workstation.
+// WithServerMachine runs every machine on the paper's 96-core server
+// model instead of the 8-core workstation.
 func WithServerMachine() Option {
 	return func(c *config) { c.cost = costmodel.Server() }
 }
@@ -151,7 +152,7 @@ func WithCostModel(m *costmodel.Model) Option {
 	return func(c *config) { c.cost = m }
 }
 
-// WithAdmission bounds the client's admission: concurrency caps with a
+// WithAdmission bounds the fleet's admission: concurrency caps with a
 // bounded deadline-aware FIFO queue. Requests over capacity queue; a
 // full queue (or an expired wait) sheds them with the typed
 // ErrOverloaded / ErrDeadlineExceeded.
@@ -165,7 +166,7 @@ func WithAdmission(cfg AdmissionConfig) Option {
 	}
 }
 
-// WithMemoryBudget bounds the machine's physical memory in pages (0 =
+// WithMemoryBudget bounds each machine's physical memory in pages (0 =
 // unlimited). Boots that would exceed the budget reclaim idle memory —
 // keep-warm instances first, then idle templates LRU-first — before
 // failing with an out-of-memory error.
@@ -174,7 +175,7 @@ func WithMemoryBudget(pages int) Option {
 }
 
 // WithZygotePool sets the Zygote pool's target size: the pool is built
-// to n at client creation and refilled back to n after warm boots and
+// to n at machine creation and refilled back to n after warm boots and
 // after the supervisor prunes wedged Zygotes. Zero disables the pool
 // (warm boots degrade to cold); negative values are treated as zero.
 func WithZygotePool(n int) Option {
@@ -187,7 +188,7 @@ func WithZygotePool(n int) Option {
 	}
 }
 
-// WithSupervision tunes the client's runtime supervision layer (probe
+// WithSupervision tunes each machine's runtime supervision layer (probe
 // cadence, watchdog multiple, poisoning verdict threshold, crash-loop
 // parking). Zero fields keep their defaults; negative fields are
 // sanitized to zero (i.e. the default).
@@ -219,104 +220,8 @@ func WithSupervision(cfg SuperviseConfig) Option {
 	}
 }
 
-// Client is a handle to one simulated serverless host. It is safe for
-// concurrent use; independent functions make progress concurrently (the
-// machine's single virtual clock serializes only the simulated machine
-// work itself, under the platform's internal locks).
-type Client struct {
-	p     *platform.Platform
-	stats *statsCollector
-	adm   *admission.Controller
-
-	// fnMu guards fnLocks; each function gets its own RWMutex so deploys
-	// and refreshes (artifact swaps, write-locked) exclude invocations
-	// (read-locked) of the same function without serializing the rest.
-	fnMu    sync.Mutex
-	fnLocks map[string]*sync.RWMutex
-
-	// recMu guards lastRecovery, the cached report of the most recent
-	// Recover pass.
-	recMu        sync.Mutex
-	lastRecovery *RecoveryReport
-
-	// arrived, when set, runs after an invocation reads its arrival time
-	// and before any machine work; tests use it to line concurrent
-	// requests up independently of goroutine scheduling.
-	arrived func()
-}
-
-func newClient(cfg config) *Client {
-	c := &Client{
-		stats:   newStatsCollector(),
-		adm:     admission.New(cfg.adm),
-		fnLocks: make(map[string]*sync.RWMutex),
-	}
-	return c
-}
-
-// NewClient creates a client on a fresh machine.
-func NewClient(opts ...Option) *Client {
-	cfg := config{cost: costmodel.Default()}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	c := newClient(cfg)
-	p, err := platform.NewWithConfig(cfg.cost, platformConfig(cfg))
-	if err != nil {
-		// Options sanitize their inputs; an invalid platform config here
-		// is a programming error, not a user error.
-		panic(err)
-	}
-	c.p = p
-	if cfg.faultSeed != nil {
-		c.p.InstallFaults(faults.New(*cfg.faultSeed))
-	}
-	if cfg.memPages > 0 {
-		c.p.SetMemoryBudget(cfg.memPages)
-	}
-	return c
-}
-
-// fnLock returns (lazily creating) the per-function lock for name.
-func (c *Client) fnLock(name string) *sync.RWMutex {
-	c.fnMu.Lock()
-	defer c.fnMu.Unlock()
-	l, ok := c.fnLocks[name]
-	if !ok {
-		l = &sync.RWMutex{}
-		c.fnLocks[name] = l
-	}
-	return l
-}
-
 // Functions lists the deployable workload names.
 func Functions() []string { return workload.Names() }
-
-// Deploy registers a function and prepares all of its offline artifacts
-// (func-image, I/O cache, template sandbox). Deploy is idempotent and
-// honours ctx: an already-expired context fails fast with a typed error.
-func (c *Client) Deploy(ctx context.Context, name string) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := admission.CtxErr(ctx); err != nil {
-		return err
-	}
-	l := c.fnLock(name)
-	l.Lock()
-	defer l.Unlock()
-	//lint:allow lockdiscipline no-machine-work-under-lock waived: per-function lock deliberately serializes deploys against invokes on one function; the reclaim path takes no fn locks
-	_, err := c.p.PrepareTemplate(name)
-	return err
-}
-
-// DeployCustom registers a user-defined function from its JSON workload
-// document (see internal/workload.SpecDoc for the format) and prepares
-// its offline artifacts. The name must not collide with a built-in
-// workload.
-func (c *Client) DeployCustom(ctx context.Context, doc []byte) (string, error) {
-	return deployCustom(ctx, doc, c.Deploy)
-}
 
 // deployCustom parses a JSON workload document, registers the spec and
 // deploys it with deploy, unregistering it again if the deploy fails.
@@ -333,23 +238,6 @@ func deployCustom(ctx context.Context, doc []byte, deploy func(context.Context, 
 		return "", err
 	}
 	return spec.Name, nil
-}
-
-// Train derives and deploys the user-guided pre-initialization variant
-// of a deployed function (§6.7): the given fraction (0..1) of per-request
-// preparation work is warmed at training time and captured in the
-// variant's artifacts. It returns the variant's name
-// ("<name>@pretrained"), which Invoke accepts like any function.
-func (c *Client) Train(name string, fraction float64) (string, error) {
-	l := c.fnLock(name)
-	l.Lock()
-	defer l.Unlock()
-	//lint:allow lockdiscipline no-machine-work-under-lock waived: per-function lock deliberately serializes training against invokes on one function; the reclaim path takes no fn locks
-	f, err := c.p.PrepareTrained(name, fraction)
-	if err != nil {
-		return "", err
-	}
-	return f.Spec.Name, nil
 }
 
 // Invocation reports one served request.
@@ -370,7 +258,7 @@ type Invocation struct {
 	// served by Catalyzer-restore).
 	ServedBy BootKind
 	// Machine is the index of the fleet machine that served the request
-	// (always 0 for a single-machine Client).
+	// (0 on a one-machine fleet).
 	Machine int
 	// Phases is the boot's per-step breakdown (Figure 2 style).
 	Phases []Phase
@@ -388,45 +276,6 @@ type Phase struct {
 
 // Total is the end-to-end latency.
 func (i *Invocation) Total() Duration { return i.BootLatency + i.ExecLatency }
-
-// Invoke boots an instance with the given strategy, executes one
-// request, and tears the instance down. The request first passes
-// admission (queueing or shedding under overload per WithAdmission),
-// then boots through the failure-recovery chain: a failing Catalyzer
-// stage retries with virtual-time backoff and then degrades (sfork →
-// Zygote → restore → gVisor cold); check Invocation.ServedBy for the
-// strategy that actually served. With nothing failing the chain adds no
-// work. ctx bounds the whole request; expiry surfaces as
-// ErrDeadlineExceeded (mid-chain aborts happen between fallback stages).
-func (c *Client) Invoke(ctx context.Context, name string, kind BootKind) (*Invocation, error) {
-	sys, ok := kindToSystem[kind]
-	if !ok {
-		return nil, fmt.Errorf("%w: boot kind %q", ErrUnknownSystem, kind)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	release, err := c.adm.Acquire(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	l := c.fnLock(name)
-	l.RLock()
-	defer l.RUnlock()
-	arrival := c.p.Now()
-	if c.arrived != nil {
-		c.arrived()
-	}
-	//lint:allow lockdiscipline no-machine-work-under-lock waived: read-held fn lock lets invokes run concurrently while deploys exclude them; the reclaim path takes no fn locks
-	r, err := c.p.InvokeRecover(ctx, name, sys)
-	if err != nil {
-		return nil, err
-	}
-	inv := invocationOf(r, kind, arrival)
-	c.stats.observe(inv.ServedBy, r.BootLatency)
-	return inv, nil
-}
 
 func invocationOf(r *platform.Result, kind BootKind, arrival Duration) *Invocation {
 	served, ok := systemToKind[r.System]
@@ -449,9 +298,10 @@ func invocationOf(r *platform.Result, kind BootKind, arrival Duration) *Invocati
 }
 
 // Instance is a running function instance kept alive after its first
-// request (auto-scaling and memory studies).
+// request (auto-scaling and memory studies). It lives on the machine
+// that booted it.
 type Instance struct {
-	c   *Client
+	p   *platform.Platform
 	inv *Invocation
 	s   *sandbox.Sandbox
 }
@@ -460,54 +310,52 @@ type Instance struct {
 func (i *Instance) Invocation() *Invocation { return i.inv }
 
 // Execute serves another request on the running instance.
-func (i *Instance) Execute() (Duration, error) { return i.c.p.ExecuteSandbox(i.s) }
+func (i *Instance) Execute() (Duration, error) { return i.p.ExecuteSandbox(i.s) }
 
 // RSS returns the instance's resident set size in bytes.
 func (i *Instance) RSS() uint64 {
-	rss, _ := i.c.p.SandboxMem(i.s)
+	rss, _ := i.p.SandboxMem(i.s)
 	return rss
 }
 
 // PSS returns the instance's proportional set size in bytes.
 func (i *Instance) PSS() float64 {
-	_, pss := i.c.p.SandboxMem(i.s)
+	_, pss := i.p.SandboxMem(i.s)
 	return pss
 }
 
 // Release tears the instance down. Release is idempotent.
-func (i *Instance) Release() { i.c.p.ReleaseSandbox(i.s) }
+func (i *Instance) Release() { i.p.ReleaseSandbox(i.s) }
 
-// Start boots an instance, serves one request, and keeps it running.
-// Like Invoke, the request passes admission and boots through the
-// failure-recovery chain, bounded by ctx. The admission slot is released
-// when Start returns (the in-flight unit is the request, not the
-// instance's lifetime); the instance's memory is governed by
-// WithMemoryBudget.
-func (c *Client) Start(ctx context.Context, name string, kind BootKind) (*Instance, error) {
-	sys, ok := kindToSystem[kind]
-	if !ok {
-		return nil, fmt.Errorf("%w: boot kind %q", ErrUnknownSystem, kind)
-	}
+// Start boots an instance, serves one request, and keeps it running on
+// the machine placement picks for name. Like Invoke, the request passes
+// admission and boots through that machine's failure-recovery chain,
+// bounded by ctx; unlike Invoke it draws no machine faults and does not
+// fail over. The admission slot is released when Start returns (the
+// in-flight unit is the request, not the instance's lifetime); the
+// instance's memory is governed by WithMemoryBudget.
+func (f *Fleet) Start(ctx context.Context, name string, kind BootKind) (*Instance, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	release, err := c.adm.Acquire(ctx, name)
+	sys, release, err := f.admit(ctx, name, kind)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	l := c.fnLock(name)
-	l.RLock()
-	defer l.RUnlock()
-	arrival := c.p.Now()
-	//lint:allow lockdiscipline no-machine-work-under-lock waived: read-held fn lock lets starts run concurrently while deploys exclude them; the reclaim path takes no fn locks
-	r, err := c.p.InvokeKeepRecover(ctx, name, sys)
+	idx, p, err := f.machineFor(name, sys)
+	if err != nil {
+		return nil, err
+	}
+	arrival := p.Now()
+	r, err := p.InvokeKeepRecover(ctx, name, sys)
 	if err != nil {
 		return nil, err
 	}
 	inv := invocationOf(r, kind, arrival)
-	c.stats.observe(inv.ServedBy, r.BootLatency)
-	return &Instance{c: c, inv: inv, s: r.Sandbox}, nil
+	inv.Machine = idx
+	f.stats.observe(inv.ServedBy, r.BootLatency)
+	return &Instance{p: p, inv: inv, s: r.Sandbox}, nil
 }
 
 // BurstReport summarizes how a burst of simultaneous requests drains.
@@ -521,32 +369,29 @@ type BurstReport struct {
 
 // Burst serves n simultaneous requests for a deployed function with the
 // given boot strategy on a machine with the given core count, reporting
-// how the burst drains (§6.6's auto-scaling scenario). Instances are
-// released afterwards. The burst passes admission as one unit; ctx
-// bounds the whole burst and aborts the remainder on expiry.
-func (c *Client) Burst(ctx context.Context, name string, kind BootKind, n, cores int) (*BurstReport, error) {
-	sys, ok := kindToSystem[kind]
-	if !ok {
-		return nil, fmt.Errorf("%w: boot kind %q", ErrUnknownSystem, kind)
-	}
+// how the burst drains (§6.6's auto-scaling scenario). The burst runs on
+// the machine placement picks for name and passes admission as one
+// unit; instances are released afterwards. ctx bounds the whole burst
+// and aborts the remainder on expiry.
+func (f *Fleet) Burst(ctx context.Context, name string, kind BootKind, n, cores int) (*BurstReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	release, err := c.adm.Acquire(ctx, name)
+	sys, release, err := f.admit(ctx, name, kind)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	l := c.fnLock(name)
-	l.RLock()
-	defer l.RUnlock()
-	//lint:allow lockdiscipline no-machine-work-under-lock waived: read-held fn lock lets bursts run concurrently while deploys exclude them; the reclaim path takes no fn locks
-	r, err := c.p.SimulateBurst(ctx, name, sys, n, cores)
+	_, p, err := f.machineFor(name, sys)
+	if err != nil {
+		return nil, err
+	}
+	r, err := p.SimulateBurst(ctx, name, sys, n, cores)
 	if err != nil {
 		return nil, err
 	}
 	for _, q := range r.Requests {
-		c.stats.observe(kind, q.Boot)
+		f.stats.observe(kind, q.Boot)
 	}
 	return &BurstReport{
 		Makespan: r.Makespan(),
@@ -557,36 +402,8 @@ func (c *Client) Burst(ctx context.Context, name string, kind BootKind, n, cores
 	}, nil
 }
 
-// Running returns the number of live instances on the machine.
-func (c *Client) Running() int { return c.p.LiveInstances() }
-
-// Now returns the machine's virtual clock reading.
-func (c *Client) Now() Duration { return c.p.Now() }
-
-// OverloadStats is a snapshot of the client's admission accounting.
+// OverloadStats is a snapshot of the fleet's admission accounting.
 type OverloadStats = admission.Stats
-
-// OverloadStats returns a snapshot of the client's admission/overload
-// accounting.
-func (c *Client) OverloadStats() OverloadStats { return c.adm.Snapshot() }
-
-// BeginDrain stops admitting new work: subsequent invocations fail with
-// ErrDraining while queued and in-flight work proceeds.
-func (c *Client) BeginDrain() { c.adm.BeginDrain() }
-
-// Draining reports whether the client has stopped admitting.
-func (c *Client) Draining() bool { return c.adm.Draining() }
-
-// Drain stops admissions and waits for in-flight work and the admission
-// queue to finish. When ctx expires first, every still-queued request is
-// shed with ErrOverloaded and Drain returns the typed context error;
-// in-flight work is not interrupted (its own contexts govern that).
-func (c *Client) Drain(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return c.adm.Drain(ctx)
-}
 
 // Kinds returns every boot kind, Catalyzer paths first.
 func Kinds() []BootKind {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestDeployAndInvokeAllKinds(t *testing.T) {
-	c := NewClient()
+	c := newHost(t)
 	if err := c.Deploy(context.Background(), "c-hello"); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestDeployAndInvokeAllKinds(t *testing.T) {
 }
 
 func TestForkBootSubMillisecond(t *testing.T) {
-	c := NewClient()
+	c := newHost(t)
 	if err := c.Deploy(context.Background(), "c-hello"); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestForkBootSubMillisecond(t *testing.T) {
 }
 
 func TestInvokeErrors(t *testing.T) {
-	c := NewClient()
+	c := newHost(t)
 	if _, err := c.Invoke(context.Background(), "c-hello", ForkBoot); err == nil {
 		t.Fatal("invoke before deploy succeeded")
 	}
@@ -64,7 +64,7 @@ func TestInvokeErrors(t *testing.T) {
 }
 
 func TestStartKeepsInstancesRunning(t *testing.T) {
-	c := NewClient()
+	c := newHost(t)
 	if err := c.Deploy(context.Background(), "deathstar-text"); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestStartKeepsInstancesRunning(t *testing.T) {
 }
 
 func TestConcurrentInvocations(t *testing.T) {
-	c := NewClient()
+	c := newHost(t)
 	if err := c.Deploy(context.Background(), "c-hello"); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestConcurrentInvocations(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() Duration {
-		c := NewClient()
+		c := newHost(t)
 		if err := c.Deploy(context.Background(), "python-django"); err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestServerMachineOption(t *testing.T) {
-	c := NewClient(WithServerMachine())
+	c := newHost(t, WithServerMachine())
 	if err := c.Deploy(context.Background(), "java-specjbb"); err != nil {
 		t.Fatal(err)
 	}

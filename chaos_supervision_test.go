@@ -33,13 +33,12 @@ func TestChaosSupervision(t *testing.T) {
 	if testing.Short() {
 		n = 60
 	}
-	c := NewClient(
+	c := newHost(t,
 		WithFaultSeed(19),
 		// Cap the park backoff so post-chaos convergence needs only a
 		// short stretch of virtual time.
 		WithSupervision(SuperviseConfig{ParkMax: 50 * simtime.Millisecond}),
 	)
-	defer c.Close()
 	for _, fn := range []string{"c-hello", "python-hello"} {
 		if err := c.Deploy(context.Background(), fn); err != nil {
 			t.Fatal(err)
@@ -97,7 +96,7 @@ func TestChaosSupervision(t *testing.T) {
 
 	// Background self-healing (template regens, pool refills) drains and
 	// nothing leaks: only the two template sandboxes stay alive.
-	c.WaitSupervision()
+	waitSupervision(c)
 	c.Close()
 	if got := c.Running(); got != 0 {
 		t.Fatalf("leaked live instances after supervision chaos + Close: %d", got)

@@ -77,7 +77,7 @@ func typedError(err error) bool {
 // with the given fault seed, refreshing the func-image from the store
 // every 10th iteration to exercise the load/quarantine path. It fails
 // the test on any non-typed error and returns the final stats.
-func runChaos(t *testing.T, c *Client, n int) FailureStats {
+func runChaos(t *testing.T, c *Fleet, n int) FailureStats {
 	t.Helper()
 	for site, rate := range chaosRates {
 		if err := c.ArmFault(site, rate); err != nil {
@@ -87,7 +87,7 @@ func runChaos(t *testing.T, c *Client, n int) FailureStats {
 	kinds := []BootKind{ForkBoot, WarmBoot, ColdBoot}
 	for i := 0; i < n; i++ {
 		if i%10 == 9 {
-			if err := c.Refresh("c-hello"); err != nil && !typedError(err) {
+			if err := refresh(c, "c-hello"); err != nil && !typedError(err) {
 				t.Fatalf("iteration %d: refresh returned a non-typed error: %v", i, err)
 			}
 		}
@@ -110,10 +110,7 @@ func TestChaosInvocations(t *testing.T) {
 	if testing.Short() {
 		n = 60
 	}
-	c, err := NewClientWithStore(t.TempDir(), WithFaultSeed(42))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := storeHost(t, t.TempDir(), WithFaultSeed(42))
 	if err := c.Deploy(context.Background(), "c-hello"); err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +169,7 @@ func TestChaosInvocations(t *testing.T) {
 
 func TestChaosDeterministic(t *testing.T) {
 	run := func() FailureStats {
-		c, err := NewClientWithStore(t.TempDir(), WithFaultSeed(7))
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := storeHost(t, t.TempDir(), WithFaultSeed(7))
 		if err := c.Deploy(context.Background(), "c-hello"); err != nil {
 			t.Fatal(err)
 		}
@@ -203,11 +197,12 @@ func TestChaosDeterministic(t *testing.T) {
 }
 
 // TestChaosCrashRestartReinvoke is the crash-restart-reinvoke loop: each
-// round opens a client over the same store directory, recovers the
-// registry from the manifest, invokes under armed store crash sites
-// (every durability boundary a Save can die at), and closes. The
-// invariants: recovery always succeeds, a recovered function serves
-// without a fresh Deploy, and only typed errors ever escape.
+// round opens a one-machine fleet over the same store directory,
+// recovers the registry from the manifest, invokes under armed store
+// crash sites (every durability boundary a Save can die at), and
+// closes. The invariants: recovery always succeeds, a recovered
+// function serves without a fresh Deploy, and only typed errors ever
+// escape.
 func TestChaosCrashRestartReinvoke(t *testing.T) {
 	rounds := 12
 	if testing.Short() {
@@ -218,10 +213,7 @@ func TestChaosCrashRestartReinvoke(t *testing.T) {
 
 	// Round 0 deploys for real; later rounds must recover from the store.
 	for round := 0; round < rounds; round++ {
-		c, err := NewClientWithStore(dir, WithFaultSeed(int64(round)))
-		if err != nil {
-			t.Fatalf("round %d: reopen store: %v", round, err)
-		}
+		c := storeHost(t, dir, WithFaultSeed(int64(round)))
 		rep, err := c.Recover(context.Background())
 		if err != nil {
 			t.Fatalf("round %d: recover: %v", round, err)
@@ -247,7 +239,7 @@ func TestChaosCrashRestartReinvoke(t *testing.T) {
 		kinds := []BootKind{ForkBoot, WarmBoot, ColdBoot}
 		for i := 0; i < 9; i++ {
 			if i%3 == 2 {
-				if err := c.Refresh("c-hello"); err != nil && !typedError(err) {
+				if err := refresh(c, "c-hello"); err != nil && !typedError(err) {
 					t.Fatalf("round %d iter %d: refresh non-typed error: %v", round, i, err)
 				}
 			}
@@ -263,10 +255,7 @@ func TestChaosCrashRestartReinvoke(t *testing.T) {
 
 	// After every round of crashes the store still reopens to a
 	// serviceable state with c-hello live.
-	c, err := NewClientWithStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := storeHost(t, dir)
 	rep, err := c.Recover(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -281,9 +270,9 @@ func TestChaosCrashRestartReinvoke(t *testing.T) {
 }
 
 func TestHappyPathUnchangedByRecoveryRouting(t *testing.T) {
-	// With no injector installed, Invoke (now routed through the recovery
-	// chain) must report the exact latencies of a direct platform invoke.
-	c := NewClient()
+	// With no fault armed, Invoke (routed through the recovery chain)
+	// must report the exact latencies of a direct platform invoke.
+	c := newHost(t)
 	if err := c.Deploy(context.Background(), "c-hello"); err != nil {
 		t.Fatal(err)
 	}

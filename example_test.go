@@ -11,11 +11,15 @@ import (
 // instances in about a millisecond. Virtual time is deterministic, so the
 // output is stable.
 func Example() {
-	client := catalyzer.NewClient()
-	if err := client.Deploy(context.Background(), "java-specjbb"); err != nil {
+	host, err := catalyzer.NewFleet(catalyzer.FleetConfig{Machines: 1})
+	if err != nil {
 		panic(err)
 	}
-	inv, err := client.Invoke(context.Background(), "java-specjbb", catalyzer.ForkBoot)
+	defer host.Close()
+	if err := host.Deploy(context.Background(), "java-specjbb"); err != nil {
+		panic(err)
+	}
+	inv, err := host.Invoke(context.Background(), "java-specjbb", catalyzer.ForkBoot)
 	if err != nil {
 		panic(err)
 	}
@@ -26,14 +30,18 @@ func Example() {
 
 // Comparing boot strategies on the same function.
 func Example_bootKinds() {
-	client := catalyzer.NewClient()
-	if err := client.Deploy(context.Background(), "c-hello"); err != nil {
+	host, err := catalyzer.NewFleet(catalyzer.FleetConfig{Machines: 1})
+	if err != nil {
+		panic(err)
+	}
+	defer host.Close()
+	if err := host.Deploy(context.Background(), "c-hello"); err != nil {
 		panic(err)
 	}
 	for _, kind := range []catalyzer.BootKind{
 		catalyzer.BaselineGVisor, catalyzer.ColdBoot, catalyzer.WarmBoot, catalyzer.ForkBoot,
 	} {
-		inv, err := client.Invoke(context.Background(), "c-hello", kind)
+		inv, err := host.Invoke(context.Background(), "c-hello", kind)
 		if err != nil {
 			panic(err)
 		}
@@ -48,15 +56,19 @@ func Example_bootKinds() {
 
 // Keeping instances running and observing page sharing.
 func Example_instances() {
-	client := catalyzer.NewClient()
-	if err := client.Deploy(context.Background(), "deathstar-text"); err != nil {
-		panic(err)
-	}
-	a, err := client.Start(context.Background(), "deathstar-text", catalyzer.ForkBoot)
+	host, err := catalyzer.NewFleet(catalyzer.FleetConfig{Machines: 1})
 	if err != nil {
 		panic(err)
 	}
-	b, err := client.Start(context.Background(), "deathstar-text", catalyzer.ForkBoot)
+	defer host.Close()
+	if err := host.Deploy(context.Background(), "deathstar-text"); err != nil {
+		panic(err)
+	}
+	a, err := host.Start(context.Background(), "deathstar-text", catalyzer.ForkBoot)
+	if err != nil {
+		panic(err)
+	}
+	b, err := host.Start(context.Background(), "deathstar-text", catalyzer.ForkBoot)
 	if err != nil {
 		panic(err)
 	}

@@ -28,8 +28,13 @@ const thumbnailerSpec = `{
 }`
 
 func main() {
-	client := catalyzer.NewClient()
-	name, err := client.DeployCustom(context.Background(), []byte(thumbnailerSpec))
+	// A one-machine fleet is a single serverless host.
+	host, err := catalyzer.NewFleet(catalyzer.FleetConfig{Machines: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer host.Close()
+	name, err := host.DeployCustom(context.Background(), []byte(thumbnailerSpec))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,17 +48,17 @@ func main() {
 		catalyzer.WarmBoot,
 		catalyzer.ForkBoot,
 	} {
-		inv, err := client.Invoke(context.Background(), name, kind)
+		inv, err := host.Invoke(context.Background(), name, kind)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-16s %12v %12v %12v\n", kind, inv.BootLatency, inv.ExecLatency, inv.Total())
 	}
 
-	// The per-kind distribution the client collected along the way.
+	// The per-kind distribution the host collected along the way.
 	fmt.Println("\nclient metrics:")
-	for _, kind := range client.StatsKinds() {
-		st := client.Stats()[kind]
+	for _, kind := range host.StatsKinds() {
+		st := host.Stats()[kind]
 		fmt.Printf("  %-16s n=%d mean=%v p99=%v\n", kind, st.Count, st.MeanBoot, st.P99Boot)
 	}
 }

@@ -28,9 +28,14 @@ var composePostFlow = []string{
 }
 
 func main() {
-	client := catalyzer.NewClient()
+	// A one-machine fleet is a single serverless host.
+	host, err := catalyzer.NewFleet(catalyzer.FleetConfig{Machines: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer host.Close()
 	for _, fn := range composePostFlow {
-		if err := client.Deploy(context.Background(), fn); err != nil {
+		if err := host.Deploy(context.Background(), fn); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -40,7 +45,7 @@ func main() {
 	for _, kind := range []catalyzer.BootKind{catalyzer.BaselineGVisor, catalyzer.ColdBoot, catalyzer.ForkBoot} {
 		var boot, exec catalyzer.Duration
 		for _, fn := range composePostFlow {
-			inv, err := client.Invoke(context.Background(), fn, kind)
+			inv, err := host.Invoke(context.Background(), fn, kind)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -55,7 +60,7 @@ func main() {
 	// boot any number of instances from a single template", §2.3).
 	fmt.Println("\nburst: 200 simultaneous deathstar-composepost requests, 8 cores")
 	for _, kind := range []catalyzer.BootKind{catalyzer.BaselineGVisor, catalyzer.ForkBoot} {
-		rep, err := client.Burst(context.Background(), "deathstar-composepost", kind, 200, 8)
+		rep, err := host.Burst(context.Background(), "deathstar-composepost", kind, 200, 8)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,7 +70,7 @@ func main() {
 	// Memory: a kept fleet shares the template's pages.
 	instances := make([]*catalyzer.Instance, 0, 50)
 	for i := 0; i < 50; i++ {
-		inst, err := client.Start(context.Background(), "deathstar-composepost", catalyzer.ForkBoot)
+		inst, err := host.Start(context.Background(), "deathstar-composepost", catalyzer.ForkBoot)
 		if err != nil {
 			log.Fatal(err)
 		}

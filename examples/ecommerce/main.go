@@ -18,9 +18,14 @@ import (
 var services = []string{"ecom-purchase", "ecom-advertisement", "ecom-report", "ecom-discount"}
 
 func main() {
-	client := catalyzer.NewClient(catalyzer.WithServerMachine())
+	// A one-machine fleet is a single serverless host.
+	host, err := catalyzer.NewFleet(catalyzer.FleetConfig{Machines: 1}, catalyzer.WithServerMachine())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer host.Close()
 	for _, fn := range services {
-		if err := client.Deploy(context.Background(), fn); err != nil {
+		if err := host.Deploy(context.Background(), fn); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -29,7 +34,7 @@ func main() {
 	fmt.Printf("%-20s %-10s %12s %12s %10s\n", "service", "boot", "startup", "execution", "share")
 	for _, fn := range services {
 		for _, kind := range []catalyzer.BootKind{catalyzer.BaselineGVisor, catalyzer.ForkBoot} {
-			inv, err := client.Invoke(context.Background(), fn, kind)
+			inv, err := host.Invoke(context.Background(), fn, kind)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -42,17 +47,17 @@ func main() {
 	// User-guided pre-initialization (§6.7): moving the func-entry point
 	// past the report generator's in-function preparation logic shifts
 	// that work into the func-image.
-	if err := client.Deploy(context.Background(), "java-specjbb"); err != nil {
+	if err := host.Deploy(context.Background(), "java-specjbb"); err != nil {
 		log.Fatal(err)
 	}
-	if err := client.Deploy(context.Background(), "java-specjbb-late"); err != nil {
+	if err := host.Deploy(context.Background(), "java-specjbb-late"); err != nil {
 		log.Fatal(err)
 	}
-	early, err := client.Invoke(context.Background(), "java-specjbb", catalyzer.ForkBoot)
+	early, err := host.Invoke(context.Background(), "java-specjbb", catalyzer.ForkBoot)
 	if err != nil {
 		log.Fatal(err)
 	}
-	late, err := client.Invoke(context.Background(), "java-specjbb-late", catalyzer.ForkBoot)
+	late, err := host.Invoke(context.Background(), "java-specjbb-late", catalyzer.ForkBoot)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,9 +18,14 @@ import (
 var pipeline = []string{"pillow-enhancement", "pillow-filters", "pillow-transpose"}
 
 func main() {
-	client := catalyzer.NewClient()
+	// A one-machine fleet is a single serverless host.
+	host, err := catalyzer.NewFleet(catalyzer.FleetConfig{Machines: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer host.Close()
 	for _, fn := range pipeline {
-		if err := client.Deploy(context.Background(), fn); err != nil {
+		if err := host.Deploy(context.Background(), fn); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -36,7 +41,7 @@ func main() {
 	} {
 		var boot, exec catalyzer.Duration
 		for _, fn := range pipeline {
-			inv, err := client.Invoke(context.Background(), fn, kind)
+			inv, err := host.Invoke(context.Background(), fn, kind)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -55,7 +60,7 @@ func main() {
 
 	// Warm path: a second request on an already-running stage pays no
 	// boot at all — only the image work.
-	inst, err := client.Start(context.Background(), "pillow-filters", catalyzer.ForkBoot)
+	inst, err := host.Start(context.Background(), "pillow-filters", catalyzer.ForkBoot)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,11 +13,16 @@ import (
 )
 
 func main() {
-	client := catalyzer.NewClient()
+	// A one-machine fleet is a single serverless host.
+	host, err := catalyzer.NewFleet(catalyzer.FleetConfig{Machines: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer host.Close()
 
 	const fn = "java-specjbb"
 	fmt.Printf("deploying %s (offline: func-image + template sandbox)...\n\n", fn)
-	if err := client.Deploy(context.Background(), fn); err != nil {
+	if err := host.Deploy(context.Background(), fn); err != nil {
 		log.Fatal(err)
 	}
 
@@ -32,7 +37,7 @@ func main() {
 	fmt.Printf("%-16s %12s %12s %12s\n", "boot", "startup", "execution", "end-to-end")
 	var baseline catalyzer.Duration
 	for _, kind := range kinds {
-		inv, err := client.Invoke(context.Background(), fn, kind)
+		inv, err := host.Invoke(context.Background(), fn, kind)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -45,7 +50,7 @@ func main() {
 	}
 
 	// Phase breakdown of a fork boot: where does the ~1.5ms go?
-	inv, err := client.Invoke(context.Background(), fn, catalyzer.ForkBoot)
+	inv, err := host.Invoke(context.Background(), fn, catalyzer.ForkBoot)
 	if err != nil {
 		log.Fatal(err)
 	}

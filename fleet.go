@@ -143,27 +143,34 @@ type FleetConfig struct {
 
 	// StoreDir, when set, gives every machine its own crash-consistent
 	// func-image store in a per-machine subdirectory StoreDir/m0 …
-	// StoreDir/mN-1 (journaled manifest + generations, like the
-	// single-machine NewClientWithStore). Replica pulls are then
-	// fsync-acknowledged through the durable import path, a crashed
-	// machine restarts over its surviving on-disk state, and a whole
-	// fleet rebuilt over the same StoreDir recovers every deployed
-	// function with Fleet.Recover. Empty = in-memory machines (the
-	// pre-store fleet, byte-identical schedules).
+	// StoreDir/mN-1 (journaled manifest + generations): Deploy loads a
+	// stored image instead of re-running offline initialization, and a
+	// corrupt stored image is quarantined and rebuilt, never silently
+	// reused. Replica pulls are then fsync-acknowledged through the
+	// durable import path, a crashed machine restarts over its surviving
+	// on-disk state, and a whole fleet rebuilt over the same StoreDir
+	// recovers every deployed function with Fleet.Recover. Empty =
+	// in-memory machines (the pre-store fleet, byte-identical schedules).
 	StoreDir string
 }
 
 // Fleet is a handle to N simulated machines behind the fleet control
 // plane: health-checked membership, consistent-hash placement with
 // bounded loads, R-way func-image replication, failover with replay,
-// and remote forks onto machines missing an image. Every invocation
-// first passes the fleet's admission controller (WithAdmission), which
-// also drains it on shutdown. Safe for concurrent use; determinism
-// holds for any fixed sequence of calls.
+// and remote forks onto machines missing an image. A one-machine fleet
+// is the single host. Every invocation first passes the fleet's
+// admission controller (WithAdmission), which also drains it on
+// shutdown. Safe for concurrent use; determinism holds for any fixed
+// sequence of calls.
 type Fleet struct {
 	fl    *fleet.Fleet
 	stats *statsCollector
 	adm   *admission.Controller
+
+	// arrived, when set, runs after an invocation reads its arrival time
+	// and before any machine work; tests use it to line concurrent
+	// requests up independently of goroutine scheduling.
+	arrived func()
 
 	// mu guards machines (the platform currently behind each fleet
 	// index; a crashed machine's is replaced when it is rebuilt) and the
@@ -173,12 +180,12 @@ type Fleet struct {
 	lastRecovery *FleetRecovery
 }
 
-// NewFleet builds a fleet of cfg.Machines machines. The same options as
-// NewClient apply: admission (WithAdmission) at the fleet's front door,
-// and per machine the cost model, zygote pool, memory budget and
-// supervision tuning; WithFaultSeed seeds the single injector that
-// drives the whole fleet's fault schedule — machine sites and
-// per-machine boot sites alike.
+// NewFleet builds a fleet of cfg.Machines machines; FleetConfig{Machines:
+// 1} is a single host. Options set admission (WithAdmission) at the
+// fleet's front door, and per machine the cost model, zygote pool,
+// memory budget and supervision tuning; WithFaultSeed seeds the single
+// injector that drives the whole fleet's fault schedule — machine sites
+// and per-machine boot sites alike.
 func NewFleet(cfg FleetConfig, opts ...Option) (*Fleet, error) {
 	c := config{cost: costmodel.Default()}
 	for _, o := range opts {
@@ -269,15 +276,18 @@ func (f *Fleet) Deploy(ctx context.Context, name string) error {
 }
 
 // DeployCustom registers a user-defined function from its JSON workload
-// document (see Client.DeployCustom) and deploys it fleet-wide.
+// document (see internal/workload.SpecDoc for the format) and deploys it
+// fleet-wide. The name must not collide with a built-in workload.
 func (f *Fleet) DeployCustom(ctx context.Context, doc []byte) (string, error) {
 	return deployCustom(ctx, doc, f.Deploy)
 }
 
 // Train derives the user-guided pre-initialization variant of a
-// function (§6.7, see Client.Train) and deploys it fleet-wide, so the
-// variant replicates like any other function. It returns the variant's
-// name ("<name>@pretrained").
+// function (§6.7) and deploys it fleet-wide, so the variant replicates
+// like any other function: the given fraction (0..1) of per-request
+// preparation work is warmed at training time and captured in the
+// variant's artifacts. It returns the variant's name
+// ("<name>@pretrained"), which Invoke accepts like any function.
 func (f *Fleet) Train(ctx context.Context, name string, fraction float64) (string, error) {
 	base, err := workload.Registry(name)
 	if err != nil {
@@ -298,27 +308,32 @@ func (f *Fleet) Train(ctx context.Context, name string, fraction float64) (strin
 	return variant.Name, nil
 }
 
-// Invoke serves one request on the fleet. The request first passes the
+// Invoke boots an instance with the given strategy, executes one
+// request, and tears the instance down. The request first passes the
 // fleet's admission controller (queueing or shedding under overload per
 // WithAdmission), then consistent-hash placement (spilling off
 // overloaded machines), machine-fault draws at dispatch, remote fork of
-// missing artifacts, and the chosen machine's recovery chain.
-// Machine-level failures replay the invocation on the next survivor
-// with virtual-time backoff; Invocation.Machine reports who served.
+// missing artifacts, and the chosen machine's recovery chain: a failing
+// Catalyzer stage retries with virtual-time backoff and then degrades
+// (sfork → Zygote → restore → gVisor cold); check Invocation.ServedBy
+// for the strategy that actually served. Machine-level failures replay
+// the invocation on the next survivor with virtual-time backoff;
+// Invocation.Machine reports who served. ctx bounds the whole request;
+// expiry surfaces as ErrDeadlineExceeded (mid-chain aborts happen
+// between fallback stages).
 func (f *Fleet) Invoke(ctx context.Context, name string, kind BootKind) (*Invocation, error) {
-	sys, ok := kindToSystem[kind]
-	if !ok {
-		return nil, fmt.Errorf("%w: boot kind %q", ErrUnknownSystem, kind)
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	release, err := f.adm.Acquire(ctx, name)
+	sys, release, err := f.admit(ctx, name, kind)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
 	arrival := f.fl.Now()
+	if f.arrived != nil {
+		f.arrived()
+	}
 	res, machine, err := f.fl.Invoke(ctx, name, sys)
 	if err != nil {
 		return nil, err
@@ -327,6 +342,29 @@ func (f *Fleet) Invoke(ctx context.Context, name string, kind BootKind) (*Invoca
 	inv.Machine = machine
 	f.stats.observe(inv.ServedBy, res.BootLatency)
 	return inv, nil
+}
+
+// admit resolves kind's boot system and passes one request for name
+// through the fleet's admission controller; the caller runs release
+// once the request is done.
+func (f *Fleet) admit(ctx context.Context, name string, kind BootKind) (sys platform.System, release func(), err error) {
+	sys, ok := kindToSystem[kind]
+	if !ok {
+		return "", nil, fmt.Errorf("%w: boot kind %q", ErrUnknownSystem, kind)
+	}
+	release, err = f.adm.Acquire(ctx, name)
+	return sys, release, err
+}
+
+// machineFor readies the machine placement picks for name's next
+// request (remote fork, first template build) and returns its index and
+// platform.
+func (f *Fleet) machineFor(name string, sys platform.System) (int, *platform.Platform, error) {
+	idx, err := f.fl.Prepare(name, sys)
+	if err != nil {
+		return -1, nil, err
+	}
+	return idx, f.members()[idx], nil
 }
 
 // Size returns the fleet size N.
@@ -411,15 +449,16 @@ type FleetRecovery struct {
 }
 
 // Recover rebuilds the fleet's serving state from the machines'
-// per-machine stores after a whole-fleet restart — the fleet analogue
-// of Client.Recover. Call it once on a freshly constructed fleet whose
-// FleetConfig.StoreDir points at the previous fleet's store root: each
-// machine's store has already scrubbed and rehydrated itself at open, so
-// Recover runs the deterministic reconciliation pass (highest verified
-// generation wins, stale replicas re-pull, byte-divergent ones
-// quarantine and re-pull), re-derives ring placement, and tops replica
-// sets back toward R under the repair budget. Without per-machine
-// stores there is nothing on disk to recover and the report is empty.
+// per-machine stores after a whole-fleet restart, so a restarted fleet
+// serves previously deployed functions without a fresh Deploy. Call it
+// once on a freshly constructed fleet whose FleetConfig.StoreDir points
+// at the previous fleet's store root: each machine's store has already
+// scrubbed and rehydrated itself at open, so Recover runs the
+// deterministic reconciliation pass (highest verified generation wins,
+// stale replicas re-pull, byte-divergent ones quarantine and re-pull),
+// re-derives ring placement, and tops replica sets back toward R under
+// the repair budget. Without per-machine stores there is nothing on
+// disk to recover and the report is empty.
 func (f *Fleet) Recover(ctx context.Context) (*FleetRecovery, error) {
 	rep, err := f.fl.Recover(ctx)
 	if rep == nil {
@@ -596,7 +635,9 @@ func (f *Fleet) BeginDrain() { f.adm.BeginDrain() }
 func (f *Fleet) Draining() bool { return f.adm.Draining() }
 
 // Drain stops admissions and waits for in-flight work and the admission
-// queue to finish; see Client.Drain for the deadline semantics.
+// queue to finish. When ctx expires first, every still-queued request is
+// shed with ErrOverloaded and Drain returns the typed context error;
+// in-flight work is not interrupted (its own contexts govern that).
 func (f *Fleet) Drain(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -606,5 +647,6 @@ func (f *Fleet) Drain(ctx context.Context) error {
 
 // Close shuts the fleet down: membership probes stop, then every member
 // machine closes (templates retired, mappings closed, supervision
-// drained).
+// drained). After Close and the release of any kept instances, Running
+// reports zero.
 func (f *Fleet) Close() { f.fl.Close() }

@@ -11,6 +11,46 @@ import (
 	"catalyzer/internal/platform"
 )
 
+// newHost builds a one-machine fleet — a single host — closed when the
+// test ends.
+func newHost(tb testing.TB, opts ...Option) *Fleet {
+	tb.Helper()
+	return storeHost(tb, "", opts...)
+}
+
+// storeHost builds a one-machine fleet whose func-images persist in the
+// store under dir (dir/m0), closed when the test ends.
+func storeHost(tb testing.TB, dir string, opts ...Option) *Fleet {
+	tb.Helper()
+	f, err := NewFleet(FleetConfig{Machines: 1, StoreDir: dir}, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(f.Close)
+	return f
+}
+
+// refresh discards name's in-memory func-image on every machine and
+// re-prepares it, re-exercising the store load path (including
+// quarantine-and-rebuild of corrupt stored images).
+func refresh(f *Fleet, name string) error {
+	for _, p := range f.members() {
+		if _, err := p.RefreshImage(name); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// waitSupervision blocks until every machine's in-flight probes and
+// self-healing tasks (template regens, Zygote pool refills) have
+// finished.
+func waitSupervision(f *Fleet) {
+	for _, p := range f.members() {
+		p.WaitSupervise()
+	}
+}
+
 // deployedFleet builds a fleet with c-hello deployed, closed when the
 // test ends.
 func deployedFleet(t *testing.T, cfg FleetConfig, opts ...Option) *Fleet {
@@ -70,6 +110,65 @@ func TestFleetAdmissionShedsOverCapacity(t *testing.T) {
 	st := f.OverloadStats()
 	if served == 0 || st.Admitted != 1+served || st.Shed != 1+n-served || st.InFlight != 0 {
 		t.Fatalf("%d of %d served; overload stats %+v", served, n, st)
+	}
+}
+
+// TestFleetStartAndBurst: Start and Burst run on the machine placement
+// picks for the function. A kept instance lives there and counts in
+// Running until its (idempotent) Release, the admission slot is free
+// once Start returns, and an unknown boot kind is rejected.
+func TestFleetStartAndBurst(t *testing.T) {
+	f := deployedFleet(t, FleetConfig{Machines: 3, Replication: 2},
+		WithAdmission(AdmissionConfig{MaxConcurrent: 1}))
+	ctx := context.Background()
+	placed, ok := f.fl.Place("c-hello")
+	if !ok {
+		t.Fatal("no placement for c-hello")
+	}
+
+	inst, err := f.Start(ctx, "c-hello", ForkBoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := inst.Invocation().Machine; got != placed {
+		t.Fatalf("instance on machine %d, placement picked %d", got, placed)
+	}
+	if st := f.OverloadStats(); st.InFlight != 0 || st.Admitted != 1 {
+		t.Fatalf("admission after Start returned: %+v, want the slot free", st)
+	}
+	if _, err := inst.Execute(); err != nil {
+		t.Fatal(err)
+	}
+	// The placed machine may also have built its template for the boot,
+	// so count the instance by its release.
+	live, running := f.Machines()[placed].Live, f.Running()
+	inst.Release()
+	inst.Release()
+	base := f.Running()
+	if f.Machines()[placed].Live != live-1 || base != running-1 {
+		t.Fatalf("double Release: machine %d live %d -> %d, running %d -> %d; want one fewer each",
+			placed, live, f.Machines()[placed].Live, running, base)
+	}
+
+	rep, err := f.Burst(ctx, "c-hello", ForkBoot, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Requests != 8 || rep.Cores != 4 || f.Running() != base {
+		t.Fatalf("burst %+v left %d running, want %d", rep, f.Running(), base)
+	}
+	if got := f.Stats()[ForkBoot].Count; got != 1+8 {
+		t.Fatalf("fork stats count = %d, want 9", got)
+	}
+
+	if _, err := f.Start(ctx, "c-hello", BootKind("bogus")); !errors.Is(err, ErrUnknownSystem) {
+		t.Fatalf("Start with a bogus kind: %v, want ErrUnknownSystem", err)
+	}
+	if _, err := f.Burst(ctx, "c-hello", BootKind("bogus"), 1, 1); !errors.Is(err, ErrUnknownSystem) {
+		t.Fatalf("Burst with a bogus kind: %v, want ErrUnknownSystem", err)
+	}
+	if _, err := f.Start(ctx, "java-hello", ForkBoot); !errors.Is(err, ErrNotDeployed) {
+		t.Fatalf("Start of an undeployed function: %v, want ErrNotDeployed", err)
 	}
 }
 

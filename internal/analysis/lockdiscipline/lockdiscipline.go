@@ -27,7 +27,7 @@ import (
 var machineWorkMethods = map[string]bool{
 	"Boot": true, "Invoke": true, "InvokeKeep": true,
 	"ExecuteSandbox": true, "ReleaseSandbox": true,
-	"PrepareImage": true, "PrepareTemplate": true, "PrepareTrained": true,
+	"PrepareImage": true, "PrepareTemplate": true,
 	"RefreshImage": true, "BootRecover": true, "InvokeRecover": true,
 	"InvokeKeepRecover": true, "SimulateBurst": true,
 }

@@ -772,6 +772,28 @@ func (f *Fleet) Place(name string) (int, bool) {
 	return f.placeLocked(name, nil)
 }
 
+// Prepare places name's next request like Place and makes sure the
+// placed machine can boot it with sys (remote fork, first template
+// build), returning the machine's index. It draws no machine faults and
+// never fails over: the caller runs the machine work itself (kept
+// instances, burst simulations).
+func (f *Fleet) Prepare(name string, sys platform.System) (int, error) {
+	f.mu.Lock()
+	if _, deployed := f.deployments[name]; !deployed {
+		f.mu.Unlock()
+		return -1, fmt.Errorf("%w: %q", ErrNotDeployed, name)
+	}
+	idx, ok := f.placeLocked(name, nil)
+	f.mu.Unlock()
+	if !ok {
+		return -1, fmt.Errorf("%w for %s", ErrNoSurvivors, name)
+	}
+	if err := f.ensureArtifacts(f.memberAt(idx), name, sys); err != nil {
+		return -1, err
+	}
+	return idx, nil
+}
+
 // Invoke serves one request on the fleet: place on the ring, draw the
 // machine fault sites at dispatch, remote-fork any missing artifacts
 // onto the chosen machine, and run the invocation through the member's
@@ -1039,8 +1061,10 @@ func (f *Fleet) planRepairsLocked(downIdxs []int) []repair {
 
 // ensureArtifacts makes sure m can boot name with sys: a machine
 // missing the func-image performs a remote fork, and fork boot builds
-// its local template (off the request's measured boot latency, like any
-// artifact preparation).
+// the local template when none was ever built on m (off the request's
+// measured boot latency, like any artifact preparation). A template the
+// machine dropped is left to its own recovery: the boot degrades
+// through the fallback chain while the async regen rebuilds it.
 func (f *Fleet) ensureArtifacts(m *member, name string, sys platform.System) error {
 	switch sys {
 	case platform.CatalyzerRestore, platform.CatalyzerZygote, platform.CatalyzerSfork,
@@ -1056,7 +1080,7 @@ func (f *Fleet) ensureArtifacts(m *member, name string, sys platform.System) err
 			return err
 		}
 	}
-	if sys == platform.CatalyzerSfork && !m.node.HasTemplate(name) {
+	if sys == platform.CatalyzerSfork && m.node.NeedsTemplate(name) {
 		if _, err := m.node.PrepareTemplate(name); err != nil {
 			return err
 		}

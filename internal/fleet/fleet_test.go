@@ -9,7 +9,9 @@ import (
 	"catalyzer/internal/costmodel"
 	"catalyzer/internal/faults"
 	"catalyzer/internal/platform"
+	"catalyzer/internal/sandbox"
 	"catalyzer/internal/simtime"
+	"catalyzer/internal/supervise"
 )
 
 func newTestFleet(t *testing.T, cfg Config) *Fleet {
@@ -204,6 +206,148 @@ func TestRemoteForkDegradesToLocalBuild(t *testing.T) {
 	}
 	if st.LocalBuilds < 1 {
 		t.Fatalf("no local build recorded: %+v", st)
+	}
+}
+
+// countingNode is a machine that counts the template builds the fleet
+// asks of it. Single-goroutine tests only.
+type countingNode struct {
+	*platform.Platform
+	templateBuilds int
+}
+
+func (n *countingNode) PrepareTemplate(name string) (*platform.Function, error) {
+	n.templateBuilds++
+	return n.Platform.PrepareTemplate(name)
+}
+
+// countingFleet builds a fleet whose machines count template builds;
+// nodes[i] is the machine most recently built for index i.
+func countingFleet(t *testing.T, cfg Config) (*Fleet, []*countingNode) {
+	t.Helper()
+	nodes := make([]*countingNode, cfg.Machines)
+	f, err := New(cfg, func(idx int) (platform.Node, error) {
+		p, err := platform.NewWithConfig(costmodel.Default(), platform.Config{ZygotePoolSize: 1})
+		if err != nil {
+			return nil, err
+		}
+		nodes[idx] = &countingNode{Platform: p}
+		return nodes[idx], nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	return f, nodes
+}
+
+// TestPoisonedTemplateLeftToRegen: once a poisoning verdict quarantines
+// a machine's template, the fleet does not rebuild it on the request
+// path. Fork invokes keep serving through the fallback chain, and the
+// machine's async regen is what brings the template back.
+func TestPoisonedTemplateLeftToRegen(t *testing.T) {
+	f, nodes := countingFleet(t, Config{Machines: 1, Seed: 11})
+	ctx := context.Background()
+	f.ArmFault(faults.SiteTemplatePoison, 1)
+	if err := f.Deploy(ctx, "c-hello"); err != nil {
+		t.Fatal(err)
+	}
+	f.DisarmFaults()
+	m := nodes[0]
+	for i := 0; i < supervise.DefaultConfig().PoisonThreshold; i++ {
+		if _, _, err := f.Invoke(ctx, "c-hello", platform.CatalyzerSfork); !errors.Is(err, sandbox.ErrPoisoned) {
+			t.Fatalf("invoke %d from the poisoned template: %v, want ErrPoisoned", i, err)
+		}
+	}
+	if st := m.FailureStats(); st.TemplatesPoisoned != 1 {
+		t.Fatalf("no poisoning verdict: %+v", st)
+	}
+
+	builds := m.templateBuilds
+	degraded := 0
+	for i := 0; i < 5; i++ {
+		res, _, err := f.Invoke(ctx, "c-hello", platform.CatalyzerSfork)
+		if err != nil {
+			t.Fatalf("invoke %d after the verdict: %v", i, err)
+		}
+		if res.System != platform.CatalyzerSfork {
+			degraded++
+		}
+	}
+	if m.templateBuilds != builds {
+		t.Fatalf("the fleet built the quarantined template on the request path %d time(s)", m.templateBuilds-builds)
+	}
+	// Until the regen lands, fork boots degrade; it runs concurrently, so
+	// how many of the five it overlaps is up to the scheduler.
+	t.Logf("%d of 5 fork invokes degraded before the regen landed", degraded)
+
+	m.WaitSupervise()
+	if st := m.FailureStats(); st.TemplateRegens != 1 {
+		t.Fatalf("TemplateRegens = %d, want 1: the async regen did not rebuild the template", st.TemplateRegens)
+	}
+	res, _, err := f.Invoke(ctx, "c-hello", platform.CatalyzerSfork)
+	if err != nil || res.System != platform.CatalyzerSfork {
+		t.Fatalf("fork invoke after the regen: %v, served by %v", err, res)
+	}
+}
+
+// TestRetiredTemplateDegrades: a template the machine retired under
+// memory pressure stays retired — the next fork invoke degrades instead
+// of the fleet rebuilding the template synchronously.
+func TestRetiredTemplateDegrades(t *testing.T) {
+	f, nodes := countingFleet(t, Config{Machines: 1})
+	ctx := context.Background()
+	for _, fn := range []string{"c-hello", "python-hello"} {
+		if err := f.Deploy(ctx, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := nodes[0]
+	// With nothing left to spare, booting python-hello reclaims the
+	// least-recently-forked template that is not its own: c-hello's.
+	m.SetMemoryBudget(m.LivePages())
+	_, _, _ = f.Invoke(ctx, "python-hello", platform.CatalyzerRestore)
+	m.SetMemoryBudget(0)
+	if m.HasTemplate("c-hello") || m.FailureStats().TemplatesRetired == 0 {
+		t.Fatalf("c-hello's template was not retired: %+v", m.FailureStats())
+	}
+
+	builds := m.templateBuilds
+	res, _, err := f.Invoke(ctx, "c-hello", platform.CatalyzerSfork)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.System == platform.CatalyzerSfork || m.templateBuilds != builds {
+		t.Fatalf("fork invoke after retirement served by %s with %d template build(s); want a degraded boot and none",
+			res.System, m.templateBuilds-builds)
+	}
+}
+
+// TestRestartedMachineBuildsTemplate: a machine killed and restarted
+// never had the template, so its first fork invoke builds one.
+func TestRestartedMachineBuildsTemplate(t *testing.T) {
+	f, nodes := countingFleet(t, Config{Machines: 1})
+	ctx := context.Background()
+	if err := f.Deploy(ctx, "c-hello"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Kill(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Restart(0); err != nil {
+		t.Fatal(err)
+	}
+	m := nodes[0]
+	if m.HasTemplate("c-hello") {
+		t.Fatal("restarted machine kept its template")
+	}
+	res, _, err := f.Invoke(ctx, "c-hello", platform.CatalyzerSfork)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.System != platform.CatalyzerSfork || m.templateBuilds != 1 {
+		t.Fatalf("first fork invoke on the restarted machine served by %s after %d template build(s); want fork after 1",
+			res.System, m.templateBuilds)
 	}
 }
 

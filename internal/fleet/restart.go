@@ -56,9 +56,8 @@ type RecoverReport struct {
 
 // Recover rebuilds the fleet's serving state from the machines' on-disk
 // stores after a whole-fleet restart. Call it once, on a freshly built
-// idle fleet whose factory reopened per-machine stores; it is the fleet
-// analogue of the single-machine Client.Recover. Each machine's store
-// scrubbed itself at reopen; Recover draws the restart-torn-store site
+// idle fleet whose factory reopened per-machine stores. Each machine's
+// store scrubbed itself at reopen; Recover draws the restart-torn-store site
 // per machine (a firing draw discards that store's contents), runs the
 // deterministic reconciliation pass documented above, re-derives ring
 // placement, and queues top-up repairs for every degraded replica set.

@@ -22,6 +22,7 @@ type Node interface {
 	InvokeRecover(ctx context.Context, name string, sys System) (*Result, error)
 	HasImage(name string) bool
 	HasTemplate(name string) bool
+	NeedsTemplate(name string) bool
 	ExportImage(name string) (*image.Image, error)
 	ImportImage(img *image.Image) error
 	ReplaceImage(img *image.Image, quarantine bool) error
@@ -58,6 +59,24 @@ func (p *Platform) HasTemplate(name string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return f.Tmpl != nil
+}
+
+// NeedsTemplate reports whether name has never had a template sandbox
+// on this machine: only its func-image arrived here (a replica, or a
+// machine rebuilt after a crash), so fork boot needs one prepared. A
+// template the platform itself dropped — a poisoning verdict, a
+// wedged-template probe eviction, a failed quarantine rebuild, LRU
+// retirement, Close — does not count: fork boots degrade through the
+// fallback chain, and the supervisor's async regen (where one runs)
+// rebuilds it off the request path.
+func (p *Platform) NeedsTemplate(name string) bool {
+	f, err := p.Lookup(name)
+	if err != nil {
+		return true
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return f.Tmpl == nil && !f.tmplBuilt
 }
 
 // ExportImage returns name's func-image for replication to a peer

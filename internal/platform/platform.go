@@ -69,6 +69,10 @@ type Function struct {
 	// tmplUse is the virtual time of the template's last sfork, for
 	// LRU-first retirement under memory pressure.
 	tmplUse simtime.Duration
+	// tmplBuilt records that a template was ever installed on this
+	// machine, so a template the platform later dropped is told apart
+	// from one never built here (see NeedsTemplate).
+	tmplBuilt bool
 }
 
 // Platform is the per-machine gateway daemon.
@@ -579,32 +583,6 @@ func (p *Platform) RefreshImage(name string) (*Function, error) {
 	return f, p.prepareImage(f)
 }
 
-// PrepareTrained derives the user-guided pre-initialization variant of a
-// function (§6.7): the given fraction of per-request preparation work is
-// warmed at training time and captured in the variant's func-image and
-// template. It registers and returns the derived function
-// ("<name>@pretrained"); invoke it by that name.
-func (p *Platform) PrepareTrained(name string, fraction float64) (*Function, error) {
-	base, err := p.Register(name)
-	if err != nil {
-		return nil, err
-	}
-	variant, err := workload.PreInitVariant(base.Spec, fraction)
-	if err != nil {
-		return nil, err
-	}
-	p.fnsMu.Lock()
-	if _, ok := p.funcs[variant.Name]; !ok {
-		if err := workload.RegisterCustom(variant); err != nil && !errors.Is(err, workload.ErrAlreadyRegistered) {
-			p.fnsMu.Unlock()
-			return nil, err
-		}
-		p.funcs[variant.Name] = &Function{Spec: variant, FS: newRootFS(variant)}
-	}
-	p.fnsMu.Unlock()
-	return p.PrepareTemplate(variant.Name)
-}
-
 // PrepareTemplate builds the function's template sandbox for fork boot
 // (offline).
 func (p *Platform) PrepareTemplate(name string) (*Function, error) {
@@ -626,6 +604,7 @@ func (p *Platform) PrepareTemplate(name string) (*Function, error) {
 	}
 	f.Tmpl = tmpl
 	f.tmplUse = p.M.Now()
+	f.tmplBuilt = true
 	return f, nil
 }
 

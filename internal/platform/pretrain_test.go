@@ -3,62 +3,8 @@ package platform
 import (
 	"testing"
 
-	"catalyzer/internal/costmodel"
 	"catalyzer/internal/workload"
 )
-
-func TestPrepareTrainedCutsExecution(t *testing.T) {
-	p := prepared(t, "java-specjbb")
-	f, err := p.PrepareTrained("java-specjbb", 0.66)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer workload.Unregister(f.Spec.Name)
-	if f.Spec.Name != "java-specjbb@pretrained" {
-		t.Fatalf("variant name = %s", f.Spec.Name)
-	}
-
-	base, err := p.Invoke("java-specjbb", CatalyzerSfork)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trained, err := p.Invoke(f.Spec.Name, CatalyzerSfork)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// §6.7 / Figure 16-a: moving the preparation work into the image
-	// cuts execution latency ~3x.
-	ratio := float64(base.ExecLatency) / float64(trained.ExecLatency)
-	if ratio < 2 || ratio > 4.5 {
-		t.Fatalf("trained exec reduction = %.1fx (base %v vs %v)", ratio, base.ExecLatency, trained.ExecLatency)
-	}
-	// Boot stays in the fork-boot class.
-	if trained.BootLatency > 2*base.BootLatency+base.BootLatency/2 {
-		t.Fatalf("trained boot = %v vs base %v", trained.BootLatency, base.BootLatency)
-	}
-
-	// Idempotent.
-	again, err := p.PrepareTrained("java-specjbb", 0.66)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != f {
-		t.Fatal("PrepareTrained not idempotent")
-	}
-}
-
-func TestPrepareTrainedValidation(t *testing.T) {
-	p := New(costmodel.Default())
-	if _, err := p.PrepareTrained("unknown-fn", 0.5); err == nil {
-		t.Fatal("unknown function accepted")
-	}
-	if _, err := p.PrepareTrained("c-hello", 0); err == nil {
-		t.Fatal("zero fraction accepted")
-	}
-	if _, err := p.PrepareTrained("c-hello", 1.5); err == nil {
-		t.Fatal("fraction > 1 accepted")
-	}
-}
 
 func TestPreInitVariantInvariants(t *testing.T) {
 	base := workload.MustGet("pillow-filters")

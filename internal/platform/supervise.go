@@ -210,6 +210,7 @@ func (p *Platform) regenTemplate(f *Function) {
 	if err == nil {
 		f.Tmpl = tmpl
 		f.tmplUse = p.M.Now()
+		f.tmplBuilt = true
 	}
 	p.mu.Unlock()
 	p.rec.addStats(func(st *FailureStats) {

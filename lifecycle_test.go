@@ -2,6 +2,7 @@ package catalyzer
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"catalyzer/internal/simtime"
@@ -23,7 +24,7 @@ func TestFullLifecycle(t *testing.T) {
 	  "execComputeUS": 20000, "execSyscalls": 900, "execPages": 1200,
 	  "execConns": 4
 	}`
-	c := NewClient()
+	c := newHost(t)
 	name, err := c.DeployCustom(context.Background(), []byte(doc))
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +52,7 @@ func TestFullLifecycle(t *testing.T) {
 	}
 
 	// Train a pre-initialized variant and verify it cuts execution.
-	variant, err := c.Train(name, 0.6)
+	variant, err := c.Train(context.Background(), name, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestFullLifecycle(t *testing.T) {
 }
 
 func TestSandboxFootprintMatchesSpec(t *testing.T) {
-	c := NewClient()
+	c := newHost(t)
 	if err := c.Deploy(context.Background(), "c-nginx"); err != nil {
 		t.Fatal(err)
 	}
@@ -107,5 +108,68 @@ func TestSandboxFootprintMatchesSpec(t *testing.T) {
 	want := uint64(spec.TaskImagePages+spec.InitHeapPages) * 4096
 	if got := inst.RSS(); got != want {
 		t.Fatalf("RSS = %d, want %d (task image + heap)", got, want)
+	}
+}
+
+// TestTrainCutsExecution: the trained variant moves per-request
+// preparation work into its func-image (§6.7 / Figure 16-a), cutting
+// execution ~3x while boot stays in the fork-boot class. Re-training
+// reuses the registered variant.
+func TestTrainCutsExecution(t *testing.T) {
+	c := newHost(t)
+	ctx := context.Background()
+	if err := c.Deploy(ctx, "java-specjbb"); err != nil {
+		t.Fatal(err)
+	}
+	variant, err := c.Train(ctx, "java-specjbb", 0.66)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer workload.Unregister(variant)
+	if variant != "java-specjbb@pretrained" {
+		t.Fatalf("variant name = %s", variant)
+	}
+
+	base, err := c.Invoke(ctx, "java-specjbb", ForkBoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained, err := c.Invoke(ctx, variant, ForkBoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio := float64(base.ExecLatency) / float64(trained.ExecLatency)
+	if ratio < 2 || ratio > 4.5 {
+		t.Fatalf("trained exec reduction = %.1fx (base %v vs %v)", ratio, base.ExecLatency, trained.ExecLatency)
+	}
+	if trained.BootLatency > 2*base.BootLatency+base.BootLatency/2 {
+		t.Fatalf("trained boot = %v vs base %v", trained.BootLatency, base.BootLatency)
+	}
+
+	p := c.members()[0]
+	before, err := p.Lookup(variant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.Train(ctx, "java-specjbb", 0.66)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := p.Lookup(variant); again != variant || after != before {
+		t.Fatalf("re-training gave %s and a new registration; want %s reused", again, variant)
+	}
+}
+
+func TestTrainValidation(t *testing.T) {
+	c := newHost(t)
+	ctx := context.Background()
+	if _, err := c.Train(ctx, "unknown-fn", 0.5); !errors.Is(err, ErrNotRegistered) {
+		t.Fatalf("unknown function: %v, want ErrNotRegistered", err)
+	}
+	if _, err := c.Train(ctx, "c-hello", 0); err == nil {
+		t.Fatal("zero fraction accepted")
+	}
+	if _, err := c.Train(ctx, "c-hello", 1.5); err == nil {
+		t.Fatal("fraction > 1 accepted")
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"catalyzer/internal/platform"
 )
 
-// KindStats summarizes the invocations a client has served with one boot
+// KindStats summarizes the invocations a fleet has served with one boot
 // kind.
 type KindStats struct {
 	Count    int
@@ -18,8 +18,8 @@ type KindStats struct {
 	MaxBoot  Duration
 }
 
-// statsCollector accumulates per-kind boot metrics inside a Client. It
-// has its own mutex so stats never contend with invocation locks.
+// statsCollector accumulates a Fleet's per-kind boot metrics. It has its
+// own mutex so stats never contend with the machines' locks.
 type statsCollector struct {
 	mu     sync.Mutex
 	byKind map[BootKind]*platform.Metrics
@@ -41,7 +41,7 @@ func (sc *statsCollector) observe(kind BootKind, boot Duration) {
 }
 
 // snapshot returns the per-kind boot latency distributions collected so
-// far (shared by Client.Stats and Fleet.Stats).
+// far.
 func (sc *statsCollector) snapshot() map[BootKind]KindStats {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -70,10 +70,3 @@ func (sc *statsCollector) kinds() []BootKind {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// Stats returns the per-kind boot latency distribution of everything this
-// client has served.
-func (c *Client) Stats() map[BootKind]KindStats { return c.stats.snapshot() }
-
-// StatsKinds returns the kinds with recorded invocations, sorted.
-func (c *Client) StatsKinds() []BootKind { return c.stats.kinds() }

@@ -6,12 +6,12 @@ import (
 )
 
 func TestClientStats(t *testing.T) {
-	c := NewClient()
+	c := newHost(t)
 	if err := c.Deploy(context.Background(), "c-hello"); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Stats()) != 0 || len(c.StatsKinds()) != 0 {
-		t.Fatal("fresh client has stats")
+		t.Fatal("fresh host has stats")
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := c.Invoke(context.Background(), "c-hello", ForkBoot); err != nil {

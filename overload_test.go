@@ -15,11 +15,10 @@ import (
 // instances leak.
 func TestOverloadProtectionUnderBurst(t *testing.T) {
 	const capC = 4
-	c := NewClient(WithAdmission(AdmissionConfig{
+	c := newHost(t, WithAdmission(AdmissionConfig{
 		MaxConcurrent: capC,
 		QueueDepth:    capC,
 	}))
-	defer c.Close()
 	if err := c.Deploy(context.Background(), "c-hello"); err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +89,7 @@ func TestOverloadProtectionUnderBurst(t *testing.T) {
 // (last completion − first arrival) is strictly less than the
 // serialized sum of their individual latencies.
 func TestIndependentFunctionsOverlapInVirtualTime(t *testing.T) {
-	c := NewClient()
-	defer c.Close()
+	c := newHost(t)
 	fns := []string{"c-hello", "java-hello"}
 	for _, fn := range fns {
 		if err := c.Deploy(context.Background(), fn); err != nil {
@@ -156,7 +154,7 @@ func TestIndependentFunctionsOverlapInVirtualTime(t *testing.T) {
 // invariants: only typed errors escape, no instances leak, and breaker
 // state stays coherent.
 func TestClientConcurrentStress(t *testing.T) {
-	c := NewClient(WithFaultSeed(7), WithAdmission(AdmissionConfig{
+	c := newHost(t, WithFaultSeed(7), WithAdmission(AdmissionConfig{
 		MaxConcurrent: 16,
 		QueueDepth:    64,
 	}))
@@ -199,7 +197,7 @@ func TestClientConcurrentStress(t *testing.T) {
 					}
 					inst.Release()
 				case 3:
-					if err := c.Refresh(fn); err != nil && !typedError(err) {
+					if err := refresh(c, fn); err != nil && !typedError(err) {
 						t.Errorf("goroutine %d iter %d: untyped Refresh error: %v", g, i, err)
 						return
 					}

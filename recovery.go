@@ -1,12 +1,9 @@
 package catalyzer
 
 import (
-	"context"
 	"errors"
-	"fmt"
 
 	"catalyzer/internal/admission"
-	"catalyzer/internal/costmodel"
 	"catalyzer/internal/faults"
 	"catalyzer/internal/image"
 	"catalyzer/internal/platform"
@@ -39,7 +36,7 @@ var (
 	// caps and queue (WithAdmission) are full, or the drain deadline
 	// expired with the request still queued.
 	ErrOverloaded = admission.ErrOverloaded
-	// ErrDraining: the client is draining and admits nothing new.
+	// ErrDraining: the fleet is draining and admits nothing new.
 	ErrDraining = admission.ErrDraining
 	// ErrDeadlineExceeded: the request's context deadline expired —
 	// before admission, while queued, or mid-boot between fallback
@@ -80,7 +77,7 @@ var (
 // attempts.
 type BootError = platform.BootError
 
-// RecoveryConfig tunes the client's failure-recovery machinery; see
+// RecoveryConfig tunes each machine's failure-recovery machinery; see
 // DefaultRecoveryConfig for the defaults.
 type RecoveryConfig = platform.RecoveryConfig
 
@@ -99,9 +96,9 @@ func DefaultRecoveryConfig() RecoveryConfig { return platform.DefaultRecoveryCon
 // simulate a kill at each point a Save could be interrupted, and the
 // machine-granularity fleet sites (machine-crash, machine-partition,
 // machine-slow, machine-gray-slow, machine-flaky, hedge-loser-lingers),
-// drawn only by a Fleet's control plane — arming them on a
-// single-machine client is a no-op. The gray sites are usually armed on
-// a single member via Fleet.ArmMachineFault. The fleet-durability sites
+// drawn by the fleet's control plane at every dispatch, whatever the
+// fleet's size. The gray sites are usually armed on a single member via
+// Fleet.ArmMachineFault. The fleet-durability sites
 // (restart-torn-store, recover-stale-replica, import-write) cover the
 // whole-fleet cold-restart path and durable replica pulls:
 // restart-torn-store discards one machine's store at Fleet.Recover,
@@ -117,120 +114,17 @@ func FaultSites() []string {
 	return out
 }
 
-// WithFaultSeed installs a deterministic fault injector on the client's
-// machine. The seed fully determines the fault schedule: two clients
-// with the same seed, the same armings, and the same call sequence see
-// identical failures. Without this option ArmFault installs a seed-0
-// injector on first use.
+// WithFaultSeed seeds the fleet's fault injector, the single schedule
+// that drives machine sites and every machine's boot sites alike. The
+// seed fully determines the fault schedule: two fleets with the same
+// seed, the same armings, and the same call sequence see identical
+// failures. Without this option the injector is seeded with 0.
 func WithFaultSeed(seed int64) Option {
 	return func(c *config) {
 		s := seed
 		c.faultSeed = &s
 	}
 }
-
-// NewClientWithStore creates a client whose func-images persist in an
-// on-disk store rooted at dir: Deploy loads an existing image instead of
-// re-running offline initialization, and saves freshly built images.
-// Corrupt stored images are quarantined (renamed aside for post-mortem)
-// and rebuilt, never silently reused.
-func NewClientWithStore(dir string, opts ...Option) (*Client, error) {
-	cfg := config{cost: costmodel.Default()}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	store, err := image.NewStore(dir)
-	if err != nil {
-		return nil, err
-	}
-	c := newClient(cfg)
-	p, err := platform.NewWithStoreConfig(cfg.cost, store, platformConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	c.p = p
-	if cfg.faultSeed != nil {
-		c.p.InstallFaults(faults.New(*cfg.faultSeed))
-	}
-	if cfg.memPages > 0 {
-		c.p.SetMemoryBudget(cfg.memPages)
-	}
-	return c, nil
-}
-
-// RecoveryReport summarizes one Recover pass: which stored functions
-// were rehydrated from the image store and which could not be.
-type RecoveryReport struct {
-	// Recovered lists the functions re-deployed from their stored
-	// func-images, sorted by name.
-	Recovered []string
-	// Failed maps function names that could not be rehydrated — for
-	// example trained variants, whose base workload must be re-Trained —
-	// to the formatted failure. Per-function failures never abort the
-	// rest of the pass.
-	Failed map[string]string
-}
-
-// Recover rehydrates the client's function registry from the on-disk
-// image store (NewClientWithStore): every function with a live stored
-// image is re-deployed, loading its func-image instead of re-running
-// offline initialization, so a restarted daemon serves previously
-// deployed functions without a fresh Deploy. Functions that cannot be
-// rehydrated are reported in the RecoveryReport, not fatal; a client
-// without a store recovers nothing. The report is cached for
-// RecoveryReport. ctx bounds the whole pass.
-func (c *Client) Recover(ctx context.Context) (*RecoveryReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	names, err := c.p.StoredFunctions()
-	if err != nil {
-		return nil, err
-	}
-	rep := &RecoveryReport{Failed: make(map[string]string)}
-	for _, name := range names {
-		if err := c.Deploy(ctx, name); err != nil {
-			if admission.CtxErr(ctx) != nil {
-				return nil, err // the caller's deadline, not a per-function failure
-			}
-			rep.Failed[name] = err.Error()
-			continue
-		}
-		rep.Recovered = append(rep.Recovered, name)
-	}
-	c.recMu.Lock()
-	c.lastRecovery = rep
-	c.recMu.Unlock()
-	return rep, nil
-}
-
-// RecoveryReport returns the report of the most recent Recover pass, or
-// nil if Recover has not run.
-func (c *Client) RecoveryReport() *RecoveryReport {
-	c.recMu.Lock()
-	defer c.recMu.Unlock()
-	return c.lastRecovery
-}
-
-// ArmFault arms a fault-injection site with a failure probability in
-// [0, 1]; every pass through that boot phase then fails with the given
-// probability, drawn from the client's seeded schedule. Unknown site
-// names are rejected (see FaultSites).
-func (c *Client) ArmFault(site string, rate float64) error {
-	if !faults.ValidSite(faults.Site(site)) {
-		return fmt.Errorf("%w: %q (known: %v)", ErrUnknownFaultSite, site, FaultSites())
-	}
-	c.p.ArmFault(faults.Site(site), rate)
-	return nil
-}
-
-// DisarmFaults disarms every fault site; injection counts are retained
-// for FailureStats.
-func (c *Client) DisarmFaults() { c.p.DisarmFaults() }
-
-// SetRecoveryConfig replaces the recovery tuning (retries, breakers,
-// quarantine thresholds). Existing breaker state is reset.
-func (c *Client) SetRecoveryConfig(cfg RecoveryConfig) { c.p.SetRecoveryConfig(cfg) }
 
 // FaultCount reports one injection site's draw/injection totals.
 type FaultCount = faults.SiteCount
@@ -242,11 +136,7 @@ type FaultCount = faults.SiteCount
 // Breakers by "function/system", Faults by site name.
 type FailureStats = platform.FailureStats
 
-// FailureStats returns a snapshot of the client's failure-recovery
-// accounting.
-func (c *Client) FailureStats() FailureStats { return c.p.FailureStats() }
-
-// SuperviseConfig tunes the client's runtime supervision layer: the
+// SuperviseConfig tunes each machine's runtime supervision layer: the
 // virtual-time liveness-probe cadence over keep-warm instances,
 // template sandboxes and pooled Zygotes; the hung-invocation watchdog
 // multiple; the sfork lineage poisoning verdict threshold; and
@@ -259,41 +149,5 @@ type SuperviseConfig = supervise.Config
 // failures inside a 1s window with 100ms..10s exponential backoff.
 func DefaultSuperviseConfig() SuperviseConfig { return supervise.DefaultConfig() }
 
-// SuperviseStats is a snapshot of the client's runtime supervision
-// accounting.
+// SuperviseStats is a snapshot of runtime supervision accounting.
 type SuperviseStats = supervise.Stats
-
-// SuperviseStats returns a snapshot of the client's runtime supervision
-// accounting.
-func (c *Client) SuperviseStats() SuperviseStats { return c.p.SuperviseStats() }
-
-// ParkedFunctions lists crash-looping functions currently parked, with
-// the remaining virtual park time of each.
-func (c *Client) ParkedFunctions() map[string]Duration { return c.p.ParkedFunctions() }
-
-// WaitSupervision blocks until the supervisor's in-flight probes and
-// tracked self-healing tasks (template regenerations, Zygote pool
-// refills) have finished — the test hook for asserting convergence
-// after injected runtime failures.
-func (c *Client) WaitSupervision() { c.p.WaitSupervise() }
-
-// Refresh discards a deployed function's in-memory func-image and
-// re-prepares it, re-exercising the store load path (including
-// quarantine-and-rebuild of corrupt stored images). The template sandbox
-// is untouched. Refresh write-locks the function: concurrent invocations
-// of the same function wait out the artifact swap, other functions are
-// unaffected.
-func (c *Client) Refresh(name string) error {
-	l := c.fnLock(name)
-	l.Lock()
-	defer l.Unlock()
-	//lint:allow lockdiscipline no-machine-work-under-lock waived: write-held fn lock is the documented artifact-swap exclusion; the reclaim path takes no fn locks
-	_, err := c.p.RefreshImage(name)
-	return err
-}
-
-// Close releases the client's long-lived per-function artifacts (template
-// sandboxes, base memory mappings). Deployed functions stay registered;
-// re-deploying rebuilds the artifacts. After Close and the release of any
-// kept instances, Running reports zero.
-func (c *Client) Close() { c.p.Close() }

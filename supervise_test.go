@@ -18,8 +18,7 @@ import (
 // while the template is rebuilt asynchronously, and once the rebuild
 // lands a fork boot serves non-degraded again. All in virtual time.
 func TestPoisonedTemplateContainment(t *testing.T) {
-	c := NewClient(WithFaultSeed(11))
-	defer c.Close()
+	c := newHost(t, WithFaultSeed(11))
 
 	// The poison draw happens at template construction: arm, deploy,
 	// disarm. Execution-stage failures afterwards run fault-free, so the
@@ -60,7 +59,7 @@ func TestPoisonedTemplateContainment(t *testing.T) {
 	}
 
 	// Drain the async rebuild, then a fork boot must serve non-degraded.
-	c.WaitSupervision()
+	waitSupervision(c)
 	inv, err := c.Invoke(context.Background(), "c-hello", ForkBoot)
 	if err != nil {
 		t.Fatalf("fork boot after regen: %v", err)
@@ -88,11 +87,10 @@ func TestPoisonedTemplateContainment(t *testing.T) {
 // invocation proceeds instead of being shed, and a post-recovery
 // invocation finds all slots free.
 func TestWatchdogKillReleasesAdmissionSlot(t *testing.T) {
-	c := NewClient(
+	c := newHost(t,
 		WithFaultSeed(5),
 		WithAdmission(AdmissionConfig{MaxConcurrent: 1, QueueDepth: 2}),
 	)
-	defer c.Close()
 	if err := c.Deploy(context.Background(), "c-hello"); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +152,7 @@ func TestWatchdogKillReleasesAdmissionSlot(t *testing.T) {
 // build could expire before the fourth invoke's admission check
 // whenever the regen goroutine ran first, so the park is a second.
 func TestCrashLoopParksAndRecovers(t *testing.T) {
-	c := NewClient(
+	c := newHost(t,
 		WithFaultSeed(3),
 		WithSupervision(SuperviseConfig{
 			CrashLoopThreshold: 3,
@@ -163,7 +161,6 @@ func TestCrashLoopParksAndRecovers(t *testing.T) {
 			ParkMax:            2 * simtime.Second,
 		}),
 	)
-	defer c.Close()
 	for _, fn := range []string{"c-hello", "python-hello"} {
 		if err := c.Deploy(context.Background(), fn); err != nil {
 			t.Fatal(err)
