@@ -45,13 +45,14 @@ examples:
 
 # Seed corpora for every fuzz target, then a short randomized budget.
 fuzz-smoke:
-	$(GO) test -run Fuzz ./internal/serial/ ./internal/vfs/ ./internal/image/
+	$(GO) test -run Fuzz ./internal/serial/ ./internal/vfs/ ./internal/image/ ./internal/memory/
 	$(GO) test -fuzz FuzzDecodeBaseline -fuzztime 5s ./internal/serial/
 	$(GO) test -fuzz FuzzDecodeRecords -fuzztime 5s ./internal/serial/
 	$(GO) test -fuzz FuzzDecodeMounts -fuzztime 5s ./internal/vfs/
 	$(GO) test -fuzz FuzzDecode -fuzztime 5s ./internal/image/
 	$(GO) test -fuzz FuzzJournal -fuzztime 5s ./internal/image/
 	$(GO) test -fuzz FuzzManifest -fuzztime 5s ./internal/image/
+	$(GO) test -fuzz FuzzAddressSpaceModel -fuzztime 5s ./internal/memory/
 
 # Concurrency hardening: the overload/stress/keep-warm suites twice each
 # under the race detector.

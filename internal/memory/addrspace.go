@@ -46,9 +46,16 @@ type Stats struct {
 // Hardware EPT construction "merges entries from the Private-EPT with the
 // Base-EPT" (§3.1); Translate implements exactly that merge.
 //
-// The two EPTs never map the same page, and the space holds one frame
-// reference per mapped page. Base-EPT leaves are shared copy-on-write
-// with the sfork parent and siblings; Private-EPT leaves are exclusive.
+// The two EPTs never map the same page. Base-EPT leaves are shared
+// copy-on-write with the sfork parent and siblings; Private-EPT leaves are
+// exclusive. Frame references belong to the leaves, one per mapped page
+// of each leaf however many spaces share it, so a space's references are
+// the ones its leaves hold (see FrameTable).
+//
+// An AddressSpace is not safe for concurrent use, and neither are its
+// read methods: Read, Translate and PSS update caches (the page tables'
+// leaf hints and the FrameTable's sharer counts). Callers must hold the
+// lock guarding the machine's FrameTable exclusively.
 type AddressSpace struct {
 	env     *simenv.Env
 	ft      *FrameTable
@@ -128,12 +135,12 @@ func (as *AddressSpace) Write(page uint64, content uint64) error {
 		as.ft.SetContent(f, content)
 		return nil
 	}
-	if shared, ok := as.base.del(page); ok {
+	if shared, ok := as.base.del(as.ft, page); ok {
 		// EPT write violation on the Base-EPT: copy the page into the
 		// Private-EPT (§3.1) and drop this space's shared reference.
 		as.env.Charge(as.env.Cost.CoWFault)
 		as.stats.CoWFaults++
-		as.private.set(page, as.ft.Allocate(content))
+		as.private.set(as.ft, page, as.ft.Allocate(content))
 		as.ft.Unref(shared)
 		return nil
 	}
@@ -143,7 +150,7 @@ func (as *AddressSpace) Write(page uint64, content uint64) error {
 	}
 	as.env.Charge(as.env.Cost.EPTFault)
 	as.stats.DemandFaults++
-	as.private.set(page, as.ft.Allocate(content))
+	as.private.set(as.ft, page, as.ft.Allocate(content))
 	return nil
 }
 
@@ -157,13 +164,13 @@ func (as *AddressSpace) demandFault(page uint64) (FrameID, error) {
 	if v.Backing != nil {
 		if f, ok := v.Backing.Frame(page - v.Start); ok {
 			as.ft.Ref(f)
-			as.base.set(page, f)
+			as.base.set(as.ft, page, f)
 			return f, nil
 		}
 	}
 	// Anonymous (or image hole): zero frame, private to this space.
 	f := as.ft.Allocate(0)
-	as.private.set(page, f)
+	as.private.set(as.ft, page, f)
 	return f, nil
 }
 
@@ -189,10 +196,10 @@ func (as *AddressSpace) PopulateRange(start, end uint64, content func(page uint6
 			as.ft.SetContent(f, c)
 			continue
 		}
-		if shared, ok := as.base.del(p); ok {
+		if shared, ok := as.base.del(as.ft, p); ok {
 			as.ft.Unref(shared)
 		}
-		as.private.set(p, as.ft.Allocate(c))
+		as.private.set(as.ft, p, as.ft.Allocate(c))
 	}
 	return nil
 }
@@ -204,71 +211,44 @@ func (as *AddressSpace) PopulateRange(start, end uint64, content func(page uint6
 // Shared (MAP_SHARED) VMAs are only clonable because Catalyzer adds a CoW
 // flag for shared memory mappings (§4); the caller enforces policy.
 //
-// Parent and child share the Base-EPT leaves themselves, so the clone
-// copies no page-table entries; it only takes the child's frame
-// references.
+// Parent and child share the Base-EPT leaves themselves, and the leaves
+// hold the frame references, so the clone copies no page-table entry and
+// touches no frame: it adds one share to each leaf.
 func (as *AddressSpace) CloneCoW() *AddressSpace {
 	child := &AddressSpace{env: as.env, ft: as.ft, vmas: slices.Clone(as.vmas)}
-	as.base.absorb(&as.private)
-	child.base = as.base.share()
-	refs := as.ft.refs
-	for _, l := range child.base.leaves {
-		for _, f := range &l.frames {
-			if f != 0 {
-				refs[f]++
-			}
-		}
-	}
+	as.base.absorb(as.ft, &as.private)
+	child.base = as.base.share(as.ft)
 	return child
 }
 
 // Rebase shifts every VMA and mapping by delta pages — the address-space
 // re-randomization that restores ASLR for sforked children (§6.8: layout
 // sharing across instances "can be mitigated by ... re-randomizing the
-// layout of address space during sfork"). Frame references are unchanged;
-// only guest virtual addresses move.
+// layout of address space during sfork"). The space maps the same frames
+// as before; only guest virtual addresses move.
 func (as *AddressSpace) Rebase(delta uint64) {
 	if delta == 0 {
 		return
 	}
-	as.base.shift(delta)
-	as.private.shift(delta)
+	as.base.shift(as.ft, delta)
+	as.private.shift(as.ft, delta)
 	for i := range as.vmas {
 		as.vmas[i].Start += delta
 		as.vmas[i].End += delta
 	}
 }
 
-// Release unmaps everything, dropping frame references. The space must
-// not be used afterwards.
+// Release unmaps everything, dropping this space's share of every leaf;
+// a leaf's frame references go with its last share. The space must not be
+// used afterwards.
 func (as *AddressSpace) Release() {
 	if as.dead {
 		return
 	}
 	as.dead = true
-	as.drop(&as.base)
-	as.drop(&as.private)
+	as.base.drop(as.ft)
+	as.private.drop(as.ft)
 	as.vmas = nil
-}
-
-// drop empties pt, dropping this space's reference on every frame it maps
-// and its share of every leaf.
-func (as *AddressSpace) drop(pt *pageTable) {
-	ft := as.ft
-	for _, l := range pt.leaves {
-		for _, f := range &l.frames {
-			if f == 0 {
-				continue
-			}
-			ft.refs[f]--
-			if ft.refs[f] == 0 {
-				ft.free = append(ft.free, f)
-				ft.live--
-			}
-		}
-		l.shares--
-	}
-	*pt = pageTable{}
 }
 
 // Stats returns the fault counters.
@@ -287,12 +267,13 @@ func (as *AddressSpace) RSS() uint64 {
 // divided by the number of spaces (or other holders) referencing its
 // frame, matching the Figure 14 methodology.
 func (as *AddressSpace) PSS() float64 {
+	sharers := as.ft.sharerCounts()
 	var pss float64
 	for _, pt := range [...]*pageTable{&as.private, &as.base} {
 		for _, l := range pt.leaves {
 			for _, f := range &l.frames {
 				if f != 0 {
-					pss += float64(PageSize) / float64(as.ft.refs[f])
+					pss += float64(PageSize) / float64(sharers[f])
 				}
 			}
 		}

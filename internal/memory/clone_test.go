@@ -1,6 +1,9 @@
 package memory
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // templateSpace returns an sfork-template-like space mapping pages pages:
 // the first half faulted from a func-image backing into the Base-EPT,
@@ -73,5 +76,53 @@ func BenchmarkRelease(b *testing.B) {
 		c := as.CloneCoW()
 		b.StartTimer()
 		c.Release()
+	}
+}
+
+// Frame references belong to page-table leaves, so a clone and its release
+// touch no frame's stored count, and a child's first write through a
+// shared leaf touches only that leaf's frames.
+func TestCloneCoWTouchesLeavesNotFrames(t *testing.T) {
+	as := templateSpace(t, 40<<10)
+	ft := as.ft
+	as.CloneCoW().Release() // settle: the template's private pages join its Base-EPT
+	refs, free := slices.Clone(ft.refs), slices.Clone(ft.free)
+	unchanged := func(when string) {
+		t.Helper()
+		if !slices.Equal(ft.refs, refs) || !slices.Equal(ft.free, free) {
+			t.Fatalf("%s changed the stored frame counts or the free list", when)
+		}
+	}
+
+	child := as.CloneCoW()
+	unchanged("CloneCoW")
+	child.Release()
+	unchanged("CloneCoW then Release")
+
+	child = as.CloneCoW()
+	defer child.Release()
+	const page = 30000 // a heap page, inside leaf 58
+	written, _ := child.Translate(page)
+	if err := child.Write(page, 7); err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := child.Translate(page)
+	inLeaf := map[FrameID]bool{fresh: true}
+	for p := uint64(page &^ leafMask); p < page&^leafMask+leafPages; p++ {
+		f, _ := as.Translate(p)
+		inLeaf[f] = true
+	}
+	changed := 0
+	for f := range refs {
+		if ft.refs[f] == refs[f] {
+			continue
+		}
+		if !inLeaf[FrameID(f)] || FrameID(f) == written {
+			t.Fatalf("frame %d outside the written page's leaf: stored count %d, was %d", f, ft.refs[f], refs[f])
+		}
+		changed++
+	}
+	if changed != leafPages-1 {
+		t.Fatalf("write changed the stored counts of %d frames, want the %d other frames of its leaf", changed, leafPages-1)
 	}
 }

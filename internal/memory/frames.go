@@ -26,11 +26,22 @@ type FrameID uint64
 // while its refcount is positive. Freed IDs go on a LIFO free list and are
 // reused before the slices grow, so the same sequence of operations always
 // yields the same IDs.
+//
+// The stored refcount counts page-table leaves and image mappings: a leaf
+// holds one reference on each frame it maps, however many address spaces
+// share it, so sharing or dropping a leaf costs O(1), not O(pages). To
+// count holders per address space, as Refs and PSS do, the table keeps a
+// registry of every live leaf and adds each leaf's extra shares to the
+// frames it maps. That walk is cached until a refcount or a share changes.
 type FrameTable struct {
 	refs    []int32  // refs[0] stays 0: FrameID 0 is never valid
 	content []uint64 // content token per frame
 	free    []FrameID
 	live    int
+
+	leaves    []*leaf // every leaf some page table holds; leaf.slot indexes it
+	sharers   []int32 // per frame: refs plus each holding leaf's shares-1
+	sharersOK bool    // sharers is current
 }
 
 // NewFrameTable returns an empty frame table.
@@ -53,6 +64,7 @@ func (ft *FrameTable) Allocate(content uint64) FrameID {
 	ft.refs[id] = 1
 	ft.content[id] = content
 	ft.live++
+	ft.sharersOK = false
 	return id
 }
 
@@ -67,22 +79,92 @@ func (ft *FrameTable) check(id FrameID) {
 func (ft *FrameTable) Ref(id FrameID) {
 	ft.check(id)
 	ft.refs[id]++
+	ft.sharersOK = false
 }
 
 // Unref drops a reference, freeing the frame at zero.
 func (ft *FrameTable) Unref(id FrameID) {
 	ft.check(id)
+	ft.unref(id)
+}
+
+func (ft *FrameTable) unref(id FrameID) {
 	ft.refs[id]--
 	if ft.refs[id] == 0 {
 		ft.free = append(ft.free, id)
 		ft.live--
 	}
+	ft.sharersOK = false
 }
 
-// Refs reports the reference count of a frame.
+// Refs reports how many holders reference a frame: each address space
+// mapping it, plus each image mapping.
 func (ft *FrameTable) Refs(id FrameID) int {
 	ft.check(id)
-	return int(ft.refs[id])
+	return int(ft.sharerCounts()[id])
+}
+
+// sharerCounts returns Refs for every frame, indexed by FrameID.
+func (ft *FrameTable) sharerCounts() []int32 {
+	if ft.sharersOK {
+		return ft.sharers
+	}
+	c := append(ft.sharers[:0], ft.refs...)
+	for _, l := range ft.leaves {
+		if extra := l.shares - 1; extra > 0 {
+			for _, f := range &l.frames {
+				if f != 0 {
+					c[f] += extra
+				}
+			}
+		}
+	}
+	ft.sharers, ft.sharersOK = c, true
+	return c
+}
+
+// newLeaf returns an empty leaf with one share, added to the registry.
+func (ft *FrameTable) newLeaf() *leaf {
+	l := &leaf{shares: 1, slot: int32(len(ft.leaves))}
+	ft.leaves = append(ft.leaves, l)
+	return l
+}
+
+// unshare drops one share of l and reports whether it was the last. A
+// leaf left with no share leaves the registry, and its frame references
+// pass to the caller.
+func (ft *FrameTable) unshare(l *leaf) bool {
+	ft.sharersOK = false
+	l.shares--
+	if l.shares > 0 {
+		return false
+	}
+	last := len(ft.leaves) - 1
+	moved := ft.leaves[last]
+	moved.slot = l.slot
+	ft.leaves[l.slot] = moved
+	ft.leaves[last] = nil
+	ft.leaves = ft.leaves[:last]
+	return true
+}
+
+// refAll takes a reference on every frame l maps.
+func (ft *FrameTable) refAll(l *leaf) {
+	for _, f := range &l.frames {
+		if f != 0 {
+			ft.refs[f]++
+		}
+	}
+	ft.sharersOK = false
+}
+
+// unrefAll drops a reference on every frame l maps.
+func (ft *FrameTable) unrefAll(l *leaf) {
+	for _, f := range &l.frames {
+		if f != 0 {
+			ft.unref(f)
+		}
+	}
 }
 
 // Content returns the frame's content token.

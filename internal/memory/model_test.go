@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -397,4 +398,91 @@ func TestAddressSpaceMatchesReferenceModel(t *testing.T) {
 			t.Fatalf("seed %d: Live = %d after releasing every space, want the %d backing frames", seed, got, modelBackedPages)
 		}
 	}
+}
+
+// byteSource is a rand.Source that replays fuzz input, eight bytes per
+// draw; drained reports when the input is used up.
+type byteSource struct{ data []byte }
+
+func (s *byteSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+func (s *byteSource) Uint64() uint64 {
+	var b [8]byte
+	n := copy(b[:], s.data)
+	s.data = s.data[n:]
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+func (s *byteSource) Seed(int64) {}
+
+func (s *byteSource) drained() bool { return len(s.data) == 0 }
+
+// FuzzAddressSpaceModel drives the reference model with operations
+// decoded from the fuzz input instead of a seeded generator. The seed
+// corpus is the generator output of the reference-model test's seeds.
+func FuzzAddressSpaceModel(f *testing.F) {
+	for seed := int64(1); seed <= 24; seed++ {
+		data := make([]byte, 1024)
+		rand.New(rand.NewSource(seed)).Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := &byteSource{data: data}
+		r := rand.New(src)
+		m := newRefModel(t)
+		m.newSpace()
+		for step := 0; step < 250 && !src.drained(); step++ {
+			if len(m.spaces) == 0 {
+				m.newSpace()
+			}
+			i := r.Intn(len(m.spaces))
+			s := m.spaces[i]
+			switch op := r.Intn(8); op {
+			case 0:
+				p := m.pick(r, s)
+				m.trace = append(m.trace, fmt.Sprintf("step %d: space %d Read(%d)", step, i, p))
+				m.read(s, p)
+			case 1:
+				p, c := m.pick(r, s), r.Uint64()
+				m.trace = append(m.trace, fmt.Sprintf("step %d: space %d Write(%d)", step, i, p))
+				m.write(s, p, c)
+			case 2:
+				start := m.pick(r, s)
+				end := start + 1 + uint64(r.Intn(600))
+				m.trace = append(m.trace, fmt.Sprintf("step %d: space %d PopulateRange(%d,%d)", step, i, start, end))
+				m.populate(s, start, end, uint64(step))
+			case 3, 4:
+				if len(m.spaces) >= 6 {
+					continue
+				}
+				if op == 3 {
+					m.trace = append(m.trace, fmt.Sprintf("step %d: space %d CloneCoW", step, i))
+					m.clone(s)
+				} else {
+					m.trace = append(m.trace, fmt.Sprintf("step %d: new space", step))
+					m.newSpace()
+				}
+			case 5:
+				delta := uint64(r.Intn(2048))
+				m.trace = append(m.trace, fmt.Sprintf("step %d: space %d Rebase(%d)", step, i, delta))
+				m.rebase(s, delta)
+			case 6:
+				m.trace = append(m.trace, fmt.Sprintf("step %d: space %d Release", step, i))
+				m.release(i)
+			case 7:
+				start := uint64(r.Intn(4 * modelHeapEnd))
+				v := VMA{Name: "extra", Start: start, End: start + uint64(r.Intn(700))}
+				m.trace = append(m.trace, fmt.Sprintf("step %d: space %d Map[%d,%d)", step, i, v.Start, v.End))
+				m.mapVMA(s, v)
+			}
+			m.check()
+		}
+		for len(m.spaces) > 0 {
+			m.release(len(m.spaces) - 1)
+			m.check()
+		}
+		if got := m.ft.Live(); got != modelBackedPages {
+			t.Fatalf("Live = %d after releasing every space, want the %d backing frames", got, modelBackedPages)
+		}
+	})
 }

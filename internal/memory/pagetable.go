@@ -13,22 +13,46 @@ const (
 // leaf maps leafPages consecutive pages; a zero entry is not present.
 // shares counts the page tables holding the leaf. A leaf with more than
 // one share is read-only: the first table to change it copies it.
+//
+// A leaf holds one frame reference per present entry, however many
+// tables share it. slot is its index in the FrameTable's leaf registry.
 type leaf struct {
 	shares int32
 	n      int32 // present entries
+	slot   int32
 	frames [leafPages]FrameID
 }
 
 // pageTable maps page numbers to frames. Leaves are kept sorted by leaf
 // number, and every leaf holds at least one present entry.
+//
+// Methods that change a table take the FrameTable its frames live in, and
+// hand frame references in and out: set takes one from the caller, del
+// gives one back.
 type pageTable struct {
 	keys   []uint64 // leaf numbers (page >> leafBits), ascending
 	leaves []*leaf
 	n      int // present entries over all leaves
+	// hint is the index of the last leaf looked up. Sandboxes touch pages
+	// in runs, so it saves the binary search for all but the first page
+	// of each leaf. It is only a guess: find uses it after checking
+	// keys[hint], so an insert or delete that shifts the indices cannot
+	// make a lookup return a wrong leaf.
+	hint int
+}
+
+// find returns the index of leaf key, or the index to insert it at.
+func (pt *pageTable) find(key uint64) (int, bool) {
+	if h := pt.hint; h < len(pt.keys) && pt.keys[h] == key {
+		return h, true
+	}
+	i, ok := slices.BinarySearch(pt.keys, key)
+	pt.hint = i
+	return i, ok
 }
 
 func (pt *pageTable) get(page uint64) (FrameID, bool) {
-	i, ok := slices.BinarySearch(pt.keys, page>>leafBits)
+	i, ok := pt.find(page >> leafBits)
 	if !ok {
 		return 0, false
 	}
@@ -37,34 +61,39 @@ func (pt *pageTable) get(page uint64) (FrameID, bool) {
 }
 
 // own makes leaf i exclusive to this table, copying it if it is shared.
-func (pt *pageTable) own(i int) *leaf {
+// The copy takes its own reference on every frame it maps.
+func (pt *pageTable) own(ft *FrameTable, i int) *leaf {
 	l := pt.leaves[i]
 	if l.shares == 1 {
 		return l
 	}
-	l.shares--
-	c := &leaf{shares: 1, n: l.n, frames: l.frames}
+	ft.unshare(l)
+	c := ft.newLeaf()
+	c.n, c.frames = l.n, l.frames
+	ft.refAll(c)
 	pt.leaves[i] = c
 	return c
 }
 
-// set maps page, which must not be present, to f.
-func (pt *pageTable) set(page uint64, f FrameID) {
+// set maps page, which must not be present, to f, taking over the
+// caller's reference on f.
+func (pt *pageTable) set(ft *FrameTable, page uint64, f FrameID) {
 	key := page >> leafBits
-	i, ok := slices.BinarySearch(pt.keys, key)
+	i, ok := pt.find(key)
 	if !ok {
 		pt.keys = slices.Insert(pt.keys, i, key)
-		pt.leaves = slices.Insert(pt.leaves, i, &leaf{shares: 1})
+		pt.leaves = slices.Insert(pt.leaves, i, ft.newLeaf())
 	}
-	l := pt.own(i)
+	l := pt.own(ft, i)
 	l.frames[page&leafMask] = f
 	l.n++
 	pt.n++
 }
 
-// del unmaps page, reporting the frame it mapped.
-func (pt *pageTable) del(page uint64) (FrameID, bool) {
-	i, ok := slices.BinarySearch(pt.keys, page>>leafBits)
+// del unmaps page, reporting the frame it mapped. The caller receives one
+// reference on that frame.
+func (pt *pageTable) del(ft *FrameTable, page uint64) (FrameID, bool) {
+	i, ok := pt.find(page >> leafBits)
 	if !ok {
 		return 0, false
 	}
@@ -76,29 +105,35 @@ func (pt *pageTable) del(page uint64) (FrameID, bool) {
 	pt.n--
 	if l.n == 1 {
 		// The last entry goes with its leaf; a shared leaf need not be
-		// copied just to be emptied.
-		l.shares--
+		// copied just to be emptied. It keeps its reference on f for the
+		// tables still sharing it, so the caller gets a fresh one.
+		if !ft.unshare(l) {
+			ft.Ref(f)
+		}
 		pt.keys = slices.Delete(pt.keys, i, i+1)
 		pt.leaves = slices.Delete(pt.leaves, i, i+1)
 		return f, true
 	}
-	l = pt.own(i)
+	l = pt.own(ft, i)
 	l.frames[page&leafMask] = 0
 	l.n--
 	return f, true
 }
 
 // share returns a table holding the same leaves, each with one more share.
-func (pt *pageTable) share() pageTable {
+// No frame reference changes: the leaves already hold them.
+func (pt *pageTable) share(ft *FrameTable) pageTable {
 	for _, l := range pt.leaves {
 		l.shares++
 	}
+	ft.sharersOK = false
 	return pageTable{keys: slices.Clone(pt.keys), leaves: slices.Clone(pt.leaves), n: pt.n}
 }
 
-// absorb moves every entry of src into pt and empties src. The two tables
-// must map disjoint pages.
-func (pt *pageTable) absorb(src *pageTable) {
+// absorb moves every entry of src into pt, with its frame references, and
+// empties src. The two tables must map disjoint pages, and src's leaves
+// must be exclusive, as a Private-EPT's are.
+func (pt *pageTable) absorb(ft *FrameTable, src *pageTable) {
 	if src.n == 0 {
 		return
 	}
@@ -114,14 +149,14 @@ func (pt *pageTable) absorb(src *pageTable) {
 			keys, leaves = append(keys, src.keys[j]), append(leaves, src.leaves[j])
 			j++
 		default:
-			l, s := pt.own(i), src.leaves[j]
+			l, s := pt.own(ft, i), src.leaves[j]
 			for off, f := range &s.frames {
 				if f != 0 {
 					l.frames[off] = f
 				}
 			}
 			l.n += s.n
-			s.shares--
+			ft.unshare(s) // its last share: s's references move to l
 			keys, leaves = append(keys, pt.keys[i]), append(leaves, l)
 			i++
 			j++
@@ -131,17 +166,32 @@ func (pt *pageTable) absorb(src *pageTable) {
 	*src = pageTable{}
 }
 
-// shift renames every page p to p+delta by rebuilding the table.
-func (pt *pageTable) shift(delta uint64) {
+// shift renames every page p to p+delta by rebuilding the table. An old
+// leaf's references move to the new leaves if this table held its last
+// share; otherwise the new leaves take references of their own.
+func (pt *pageTable) shift(ft *FrameTable, delta uint64) {
 	old := *pt
 	*pt = pageTable{}
 	for i, l := range old.leaves {
+		if !ft.unshare(l) {
+			ft.refAll(l)
+		}
 		first := old.keys[i] << leafBits
 		for off, f := range &l.frames {
 			if f != 0 {
-				pt.set(first+uint64(off)+delta, f)
+				pt.set(ft, first+uint64(off)+delta, f)
 			}
 		}
-		l.shares--
 	}
+}
+
+// drop empties pt, dropping its share of every leaf, and every frame
+// reference of the leaves whose last share that was.
+func (pt *pageTable) drop(ft *FrameTable) {
+	for _, l := range pt.leaves {
+		if ft.unshare(l) {
+			ft.unrefAll(l)
+		}
+	}
+	*pt = pageTable{}
 }
