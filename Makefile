@@ -35,12 +35,15 @@ staticcheck:
 		echo "staticcheck not installed; skipping"; \
 	fi
 
-# Every example program end to end with go run; the first non-zero exit
-# fails the target.
+# Every example program end to end with go run, its stdout diffed
+# against testdata/examples/<name>.txt; the first difference or non-zero
+# exit fails the target. The exit status is written into the diffed
+# stream, so a failing program differs even when its output does not.
 examples:
 	@for d in examples/*/; do \
+		n=$$(basename $$d); \
 		echo "go run ./$$d"; \
-		$(GO) run ./$$d >/dev/null || exit 1; \
+		{ $(GO) run ./$$d || echo "exit status $$?"; } | diff -u testdata/examples/$$n.txt - || exit 1; \
 	done
 
 # Seed corpora for every fuzz target, then a short randomized budget.
