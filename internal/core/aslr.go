@@ -22,33 +22,7 @@ func aslrDelta(n uint64) uint64 {
 // VMAs are relocated by a per-fork offset before it runs. The relocation
 // costs one address-space operation per VMA on top of the plain sfork.
 func (t *Template) SforkRandomized() (*sandbox.Sandbox, *simtime.Timeline, error) {
-	m := t.c.M
-	env := m.Env
-	if t.s.Released() {
-		return nil, nil, errReleasedTemplate
-	}
-	if !t.s.Runtime.IsSingleThreaded() {
-		return nil, nil, errNotSingleThreaded
-	}
-	tl := simtime.NewTimeline(env.Clock)
-	var child *sandbox.Sandbox
-	var err error
-	tl.Measure(sandbox.PhaseSfork, func() {
-		child, err = t.forkChild()
-		if err != nil {
-			return
-		}
-		t.forks++
-		delta := aslrDelta(t.forks)
-		env.ChargeN(env.Cost.MmapGVisor, len(child.AS.VMAs()))
-		child.Rebase(delta)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	tl.Record(sandbox.PhaseSendRPC, env.Cost.RPCSend)
-	child.AtEntry = true
-	return child, tl, nil
+	return t.sfork(true)
 }
 
 // Forks reports how many children this template has produced (both plain

@@ -71,26 +71,10 @@ type Zygote struct {
 	wedged bool
 }
 
-// Probe performs one liveness check on a pooled Zygote (machine work:
-// one RPC round-trip). Like sandbox.Probe it draws the sandbox-wedge
-// site on healthy Zygotes and the probe-false-negative site on wedged
-// ones. It returns whether the Zygote is still fit to specialize.
-func (z *Zygote) Probe() bool {
-	env := z.c.M.Env
-	env.Charge(env.Cost.RPCSend)
-	if !z.wedged {
-		if z.c.M.Faults.Check(faults.SiteSandboxWedge) != nil {
-			z.wedged = true
-		}
-	}
-	if z.wedged {
-		if z.c.M.Faults.Check(faults.SiteProbeFalseNegative) != nil {
-			return true // the probe missed the wedge this round
-		}
-		return false
-	}
-	return true
-}
+// Probe performs one liveness check on a pooled Zygote (see
+// sandbox.ProbeLiveness). It returns whether the Zygote is still fit to
+// specialize.
+func (z *Zygote) Probe() bool { return sandbox.ProbeLiveness(z.c.M, &z.wedged) }
 
 // NewZygote builds a Zygote, charging its construction to the current
 // (offline) clock.
@@ -199,118 +183,79 @@ func (c *Catalyzer) BootRestore(img *image.Image, fs *vfs.FSServer, zygote *Zygo
 	} else if err := m.AdmitPages(spec.TaskImagePages + spec.InitHeapPages); err != nil {
 		return nil, nil, nil, err
 	}
-	tl := simtime.NewTimeline(env.Clock)
 	s := sandbox.NewRestoredShell(m, spec, catalyzerOptions(m), fs)
-	// Release the partial instance on any mid-boot failure so failed
-	// restores never leak live sandboxes.
-	fail := func(err error) (*sandbox.Sandbox, *image.Mapping, *simtime.Timeline, error) {
-		s.Release()
-		return nil, nil, nil, err
-	}
-
-	if zygote == nil {
-		// Cold boot: construct the sandbox now.
-		var cfgErr error
-		tl.Measure(sandbox.PhaseParseConfig, func() {
-			cfgErr = sandbox.ParseConfig(m, spec)
-		})
-		if cfgErr != nil {
-			return fail(cfgErr)
-		}
-		tl.Measure(sandbox.PhaseBootProcess, func() {
-			env.Charge(env.Cost.HostForkExec)
-			env.Charge(env.Cost.HostForkExec)
-			env.ChargeN(env.Cost.InstanceInterference, m.Live()-1)
-		})
-		tl.Record(sandbox.PhaseSentryBoot, env.Cost.SentryBoot)
-		tl.Measure(sandbox.PhaseCreateKernel, func() {
-			vm := m.KVM.CreateVM()
-			vm.AddVCPU()
-			_ = vm.SetMemoryRegion(uint64(spec.TaskImagePages + spec.InitHeapPages))
-			s.SetVM(vm)
-		})
-		tl.Measure(sandbox.PhaseMountRootFS, func() {
-			env.ChargeN(env.Cost.MountFS, 1+spec.RootMounts)
-		})
-	} else {
-		// Warm boot: specialize the cached Zygote.
-		zygote.used = true
-		tl.Measure(sandbox.PhaseZygoteSpecialize, func() {
-			env.Charge(env.Cost.ZygoteSpecialize)
-			env.ChargeN(env.Cost.ZygoteImportBinary, importedBinaries(spec))
-			env.Charge(env.Cost.MountFS) // app rootfs mount
-			env.ChargeN(env.Cost.InstanceInterferenceLight, m.Live()-1)
-		})
-	}
-
+	// Creating the restored task is machine work that no boot phase
+	// carries, so it is charged outside the timeline (CALIBRATION.md).
 	env.Charge(env.Cost.RestoreTaskCreate)
 
 	// Application memory. The Base-EPT mapping is an injection site: a
 	// failed map must not mutate the function's shared mapping state, so
 	// the check runs before NewMapping/Share.
-	var memErr error
-	if flags.OverlayMemory {
-		tl.Measure(sandbox.PhaseMapImage, func() {
-			if memErr = m.Faults.Check(faults.SiteEPTMap); memErr != nil {
-				return
-			}
-			if mapping == nil {
-				mapping = image.NewMapping(env, m.Frames, img.Mem)
-			} else {
-				mapping = mapping.Share(env)
-			}
-			memErr = s.MapImageHeap(mapping)
-		})
-	} else {
-		tl.Measure(sandbox.PhaseLoadAppMemory, func() {
-			memErr = s.LoadAllHeap(img)
-		})
-	}
-	if memErr != nil {
-		return fail(memErr)
-	}
-
-	// Guest-kernel state.
-	var k *guest.Kernel
-	var kErr error
-	tl.Measure(sandbox.PhaseRecoverKernel, func() {
-		if kErr = m.Faults.Check(faults.SiteMetaFixup); kErr != nil {
-			return
+	memory := sandbox.Step{Name: sandbox.PhaseMapImage, Run: func() error {
+		if err := m.Faults.Check(faults.SiteEPTMap); err != nil {
+			return err
 		}
-		if flags.SeparatedState {
-			k, kErr = guest.RestoreSeparated(env, img.Kernel)
+		if mapping == nil {
+			mapping = image.NewMapping(env, m.Frames, img.Mem)
 		} else {
-			k, kErr = guest.RestoreBaseline(env, img.Kernel)
+			mapping = mapping.Share(env)
 		}
-	})
-	if kErr != nil {
-		return fail(fmt.Errorf("core: restore: %w", kErr))
+		return s.MapImageHeap(mapping)
+	}}
+	if !flags.OverlayMemory {
+		memory = sandbox.Step{Name: sandbox.PhaseLoadAppMemory, Run: func() error { return s.LoadAllHeap(img) }}
 	}
-
+	// Guest-kernel state.
+	kernel := sandbox.Step{Name: sandbox.PhaseRecoverKernel, Run: func() error {
+		if err := m.Faults.Check(faults.SiteMetaFixup); err != nil {
+			return fmt.Errorf("core: restore: %w", err)
+		}
+		restore := guest.RestoreBaseline
+		if flags.SeparatedState {
+			restore = guest.RestoreSeparated
+		}
+		k, err := restore(env, img.Kernel)
+		if err != nil {
+			return fmt.Errorf("core: restore: %w", err)
+		}
+		s.Kernel = k
+		return nil
+	}}
 	// I/O connections, plus the persistent log descriptor (the one
 	// read-write grant, §4.2).
-	var ioErr error
-	tl.Measure(sandbox.PhaseReconnectIO, func() {
-		if ioErr = m.Faults.Check(faults.SiteIOReconnect); ioErr != nil {
-			return
+	io := sandbox.Step{Name: sandbox.PhaseReconnectIO, Run: func() error {
+		if err := m.Faults.Check(faults.SiteIOReconnect); err != nil {
+			return err
 		}
 		switch {
 		case !flags.LazyIO:
-			k.Conns = vfs.RestoreEager(env, img.Kernel.ConnRecords)
+			s.Kernel.Conns = vfs.RestoreEager(env, img.Kernel.ConnRecords)
 		case cache != nil:
-			k.Conns = vfs.RestoreWithCache(env, img.Kernel.ConnRecords, cache)
+			s.Kernel.Conns = vfs.RestoreWithCache(env, img.Kernel.ConnRecords, cache)
 		default:
-			k.Conns = vfs.RestoreLazy(env, img.Kernel.ConnRecords)
+			s.Kernel.Conns = vfs.RestoreLazy(env, img.Kernel.ConnRecords)
 		}
-		s.SetKernel(k)
-		ioErr = s.AcquireLogGrant()
-	})
-	if ioErr != nil {
-		return fail(ioErr)
-	}
+		return s.AcquireLogGrant()
+	}}
 
-	tl.Record(sandbox.PhaseSendRPC, env.Cost.RPCSend)
-	s.AtEntry = true
+	var tl *simtime.Timeline
+	if zygote == nil {
+		// Cold boot: construct the sandbox now.
+		tl, err = sandbox.Construct(s, memory, kernel, io)
+	} else {
+		// Warm boot: specialize the cached Zygote.
+		zygote.used = true
+		tl, err = sandbox.Run(s, sandbox.Step{Name: sandbox.PhaseZygoteSpecialize, Run: func() error {
+			env.Charge(env.Cost.ZygoteSpecialize)
+			env.ChargeN(env.Cost.ZygoteImportBinary, importedBinaries(spec))
+			env.Charge(env.Cost.MountFS) // app rootfs mount
+			env.ChargeN(env.Cost.InstanceInterferenceLight, m.Live()-1)
+			return nil
+		}}, memory, kernel, io)
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	return s, mapping, tl, nil
 }
 

@@ -80,26 +80,35 @@ func (t *Template) Sandbox() *sandbox.Sandbox { return t.s }
 // guest kernel state is shared through the forked memory, and the Go
 // runtime expands from the transient single thread back to
 // multi-threaded.
-func (t *Template) Sfork() (*sandbox.Sandbox, *simtime.Timeline, error) {
-	m := t.c.M
-	env := m.Env
+func (t *Template) Sfork() (*sandbox.Sandbox, *simtime.Timeline, error) { return t.sfork(false) }
+
+// sfork is the fork boot behind Sfork and SforkRandomized: one measured
+// sfork phase, then send-rpc. With randomize set, the child's VMAs are
+// relocated by the fork's ASLR offset inside the sfork phase.
+func (t *Template) sfork(randomize bool) (*sandbox.Sandbox, *simtime.Timeline, error) {
 	if t.s.Released() {
 		return nil, nil, errReleasedTemplate
 	}
 	if !t.s.Runtime.IsSingleThreaded() {
 		return nil, nil, errNotSingleThreaded
 	}
-
+	env := t.c.M.Env
 	tl := simtime.NewTimeline(env.Clock)
 	var child *sandbox.Sandbox
 	var err error
 	tl.Measure(sandbox.PhaseSfork, func() {
-		child, err = t.forkChild()
+		if child, err = t.forkChild(); err != nil {
+			return
+		}
+		t.forks++
+		if randomize {
+			env.ChargeN(env.Cost.MmapGVisor, len(child.AS.VMAs()))
+			child.Rebase(aslrDelta(t.forks))
+		}
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	t.forks++
 	tl.Record(sandbox.PhaseSendRPC, env.Cost.RPCSend)
 	child.AtEntry = true
 	return child, tl, nil
@@ -178,7 +187,7 @@ func (t *Template) forkChild() (*sandbox.Sandbox, error) {
 	child.FDs = parent.FDs.Clone()
 
 	// Guest kernel state rides along in the forked memory.
-	child.SetKernel(parent.Kernel.CloneShared())
+	child.Kernel = parent.Kernel.CloneShared()
 
 	// Persistent files are the one class not inherited read-only: the
 	// child gets its own read-write log grant from the FS server (§4.2).

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"catalyzer/internal/costmodel"
+	"catalyzer/internal/guest"
 	"catalyzer/internal/simtime"
 )
 
@@ -44,6 +45,38 @@ func TestReplayableRequiresImage(t *testing.T) {
 	}
 	if _, err := p.Invoke("c-hello", Replayable); err == nil {
 		t.Fatal("replayable without image succeeded")
+	}
+}
+
+// A Replayable boot that fails mid-way releases its partial instance:
+// a truncated baseline checkpoint makes kernel recovery fail after the
+// shell and its heap mapping exist, and neither may outlive the boot.
+func TestReplayableFailedBootReleasesShell(t *testing.T) {
+	p := New(costmodel.Default())
+	f, err := p.PrepareImage("java-hello")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One good boot first, so the function's shared base mapping exists
+	// and the failed boot below only shares it.
+	r, err := p.Boot("java-hello", Replayable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.ReleaseSandbox(r.Sandbox)
+
+	img := *f.Image
+	img.Kernel = &guest.Checkpoint{Baseline: f.Image.Kernel.Baseline[:len(f.Image.Kernel.Baseline)/2]}
+	f.Image = &img
+	live, frames := p.LiveInstances(), p.LivePages()
+	if _, err := p.Boot("java-hello", Replayable); err == nil {
+		t.Fatal("replayable boot from a truncated baseline succeeded")
+	}
+	if got := p.LiveInstances(); got != live {
+		t.Errorf("live instances after failed boot = %d, want %d", got, live)
+	}
+	if got := p.LivePages(); got != frames {
+		t.Errorf("live frames after failed boot = %d, want %d", got, frames)
 	}
 }
 

@@ -28,47 +28,42 @@ func (p *Platform) bootReplayable(f *Function) (*sandbox.Sandbox, *simtime.Timel
 	}
 	m := p.M
 	env := m.Env
-	tl := simtime.NewTimeline(env.Clock)
-	opts := sandbox.Options{Profile: sandbox.ContainerProfile(env.Cost)}
-	s := sandbox.NewRestoredShell(m, f.Spec, opts, f.FS)
-
-	// Lean container setup (SOCK-style).
-	tl.Record(sandbox.PhaseManagement, env.Cost.LeanContainerCreate)
-	tl.Measure(sandbox.PhaseBootProcess, func() {
-		env.Charge(env.Cost.HostForkExec)
-		env.ChargeN(env.Cost.InstanceInterference, m.Live()-1)
-	})
-
-	// On-demand application memory: Replayable's contribution.
-	var memErr error
-	tl.Measure(sandbox.PhaseMapImage, func() {
-		if f.Mapping == nil {
-			f.Mapping = image.NewMapping(env, m.Frames, f.Image.Mem)
-		} else {
-			f.Mapping = f.Mapping.Share(env)
-		}
-		memErr = s.MapImageHeap(f.Mapping)
-	})
-	if memErr != nil {
-		return nil, nil, memErr
+	s := sandbox.NewRestoredShell(m, f.Spec, sandbox.Options{Profile: sandbox.ContainerProfile(env.Cost)}, f.FS)
+	tl, err := sandbox.Run(s,
+		// Lean container setup (SOCK-style).
+		sandbox.Step{Name: sandbox.PhaseManagement, Run: func() error {
+			env.Charge(env.Cost.LeanContainerCreate)
+			return nil
+		}},
+		sandbox.Step{Name: sandbox.PhaseBootProcess, Run: func() error {
+			env.Charge(env.Cost.HostForkExec)
+			env.ChargeN(env.Cost.InstanceInterference, m.Live()-1)
+			return nil
+		}},
+		// On-demand application memory: Replayable's contribution.
+		sandbox.Step{Name: sandbox.PhaseMapImage, Run: func() error {
+			if f.Mapping == nil {
+				f.Mapping = image.NewMapping(env, m.Frames, f.Image.Mem)
+			} else {
+				f.Mapping = f.Mapping.Share(env)
+			}
+			return s.MapImageHeap(f.Mapping)
+		}},
+		// System state: recovered one-by-one on the critical path (the
+		// limitation §7 contrasts with separated state recovery).
+		sandbox.Step{Name: sandbox.PhaseRecoverKernel, Run: func() error {
+			k, err := guest.RestoreBaseline(env, f.Image.Kernel)
+			s.Kernel = k
+			return err
+		}},
+		// I/O connections: all re-done eagerly.
+		sandbox.Step{Name: sandbox.PhaseReconnectIO, Run: func() error {
+			s.Kernel.Conns = vfs.RestoreEager(env, f.Image.Kernel.ConnRecords)
+			return nil
+		}},
+	)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	// System state: recovered one-by-one on the critical path (the
-	// limitation §7 contrasts with separated state recovery).
-	var k *guest.Kernel
-	var kErr error
-	tl.Measure(sandbox.PhaseRecoverKernel, func() {
-		k, kErr = guest.RestoreBaseline(env, f.Image.Kernel)
-	})
-	if kErr != nil {
-		return nil, nil, kErr
-	}
-	// I/O connections: all re-done eagerly.
-	tl.Measure(sandbox.PhaseReconnectIO, func() {
-		k.Conns = vfs.RestoreEager(env, f.Image.Kernel.ConnRecords)
-	})
-	s.SetKernel(k)
-	tl.Record(sandbox.PhaseSendRPC, env.Cost.RPCSend)
-	s.AtEntry = true
 	return s, tl, nil
 }

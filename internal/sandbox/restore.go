@@ -17,6 +17,7 @@ import (
 // is recovered from the func-image's baseline checkpoint — decompressing
 // and deserializing every object one-by-one, loading all application
 // memory, and re-doing every I/O connection, all on the critical path.
+//
 //lint:allow ctxflow context-first-entry waived: leaf machine work below the recovery layer's abort points; virtual time cannot block on the host
 func BootGVisorRestore(m *Machine, img *image.Image, fs *vfs.FSServer, opts Options) (*Sandbox, *simtime.Timeline, error) {
 	spec, err := specForImage(img)
@@ -27,109 +28,28 @@ func BootGVisorRestore(m *Machine, img *image.Image, fs *vfs.FSServer, opts Opti
 	if err := m.AdmitPages(spec.TaskImagePages + spec.InitHeapPages); err != nil {
 		return nil, nil, err
 	}
-	tl := simtime.NewTimeline(m.Env.Clock)
-	s := newShell(m, spec, opts, fs)
-	s.Restored = true
-	// Release the partial instance on any mid-boot failure.
-	fail := func(err error) (*Sandbox, *simtime.Timeline, error) {
-		s.Release()
+	s := NewRestoredShell(m, spec, opts, fs)
+	tl, err := Construct(s,
+		Step{PhaseLoadTaskImage, s.loadTaskImage},
+		// Restore path proper.
+		Step{PhaseRecoverKernel, func() error {
+			k, err := guest.RestoreBaseline(m.Env, img.Kernel)
+			if err != nil {
+				return fmt.Errorf("sandbox: gvisor-restore: %w", err)
+			}
+			s.Kernel = k
+			return nil
+		}},
+		Step{PhaseLoadAppMemory, func() error { return s.LoadAllHeap(img) }},
+		Step{PhaseReconnectIO, func() error {
+			s.Kernel.Conns = vfs.RestoreEager(m.Env, img.Kernel.ConnRecords)
+			return s.AcquireLogGrant()
+		}},
+	)
+	if err != nil {
 		return nil, nil, err
 	}
-
-	if opts.Management > 0 {
-		tl.Record(PhaseManagement, opts.Management)
-	}
-	var cfgErr error
-	tl.Measure(PhaseParseConfig, func() {
-		cfgErr = ParseConfig(m, spec)
-	})
-	if cfgErr != nil {
-		return fail(cfgErr)
-	}
-	tl.Measure(PhaseBootProcess, func() {
-		m.Env.Charge(m.Env.Cost.HostForkExec)
-		m.Env.Charge(m.Env.Cost.HostForkExec)
-		m.Env.ChargeN(m.Env.Cost.InstanceInterference, m.Live()-1)
-	})
-	if opts.SentryBoot {
-		tl.Record(PhaseSentryBoot, m.Env.Cost.SentryBoot)
-	}
-	tl.Measure(PhaseCreateKernel, func() {
-		if opts.HardwareVM {
-			s.VM = m.KVM.CreateVM()
-			for i := 0; i < opts.VCPUs; i++ {
-				s.VM.AddVCPU()
-			}
-			_ = s.VM.SetMemoryRegion(uint64(spec.TaskImagePages + spec.InitHeapPages))
-		}
-	})
-	var stepErr error
-	tl.Measure(PhaseMountRootFS, func() {
-		// The restored kernel brings its own mount objects; here only the
-		// host-side mount work happens.
-		for i := 0; i < 1+spec.RootMounts; i++ {
-			m.Env.Charge(m.Env.Cost.MountFS)
-		}
-	})
-	tl.Measure(PhaseLoadTaskImage, func() {
-		stepErr = mapAndLoadTask(s, opts)
-	})
-	if stepErr != nil {
-		return fail(stepErr)
-	}
-
-	// Restore path proper.
-	tl.Measure(PhaseRecoverKernel, func() {
-		s.Kernel, stepErr = guest.RestoreBaseline(m.Env, img.Kernel)
-	})
-	if stepErr != nil {
-		return fail(fmt.Errorf("sandbox: gvisor-restore: %w", stepErr))
-	}
-	tl.Measure(PhaseLoadAppMemory, func() {
-		stepErr = loadAllAppMemory(s, img)
-	})
-	if stepErr != nil {
-		return fail(stepErr)
-	}
-	tl.Measure(PhaseReconnectIO, func() {
-		s.Kernel.Conns = vfs.RestoreEager(m.Env, img.Kernel.ConnRecords)
-		stepErr = s.AcquireLogGrant()
-	})
-	if stepErr != nil {
-		return fail(stepErr)
-	}
-	tl.Record(PhaseSendRPC, m.Env.Cost.RPCSend)
-	s.AtEntry = true
 	return s, tl, nil
-}
-
-func mapAndLoadTask(s *Sandbox, opts Options) error {
-	v := s.taskVMA()
-	if err := s.AS.Map(v); err != nil {
-		return err
-	}
-	seed := MemSeed(s.Spec.Name) ^ 0x7a51
-	return s.AS.PopulateRange(v.Start, v.End,
-		func(page uint64) uint64 { return seed + page },
-		func() { s.M.Env.Charge(opts.Profile.PageRead) },
-	)
-}
-
-// loadAllAppMemory loads the entire memory section into private frames on
-// the critical path, decompressing and copying each page (Figure 2's
-// "Load App memory": 128.8 ms for SPECjbb's 200 MB).
-func loadAllAppMemory(s *Sandbox, img *image.Image) error {
-	v := s.heapVMA()
-	if v.Pages() == 0 {
-		return nil
-	}
-	if err := s.AS.Map(v); err != nil {
-		return err
-	}
-	return s.AS.PopulateRange(v.Start, v.End,
-		func(page uint64) uint64 { return img.Mem.Token(page - v.Start) },
-		func() { s.M.Env.Charge(s.M.Env.Cost.PageDecompressCopy) },
-	)
 }
 
 // specForImage resolves the workload spec a func-image was built from.

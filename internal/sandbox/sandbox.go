@@ -10,6 +10,7 @@ import (
 	"catalyzer/internal/image"
 	"catalyzer/internal/memory"
 	"catalyzer/internal/oci"
+	"catalyzer/internal/simenv"
 	"catalyzer/internal/simtime"
 	"catalyzer/internal/vfs"
 	"catalyzer/internal/workload"
@@ -225,9 +226,116 @@ func (s *Sandbox) Rebase(delta uint64) {
 	s.LayoutDelta += delta
 }
 
+// Step is one named phase of a boot. Run does the phase's work; a nil
+// Run skips the step without recording a phase, so a boot can list a
+// step its options turn off.
+type Step struct {
+	Name string
+	Run  func() error
+}
+
+// Run boots s through steps in order, measuring each on a new timeline
+// (Figure 2's per-step breakdown). The first failing step ends the boot
+// and releases s, so a boot that dies mid-way never leaks its partial
+// instance. A boot that completes pays the gateway's send-rpc and leaves
+// s at its func-entry point. Run does not retain steps.
+func Run(s *Sandbox, steps ...Step) (*simtime.Timeline, error) {
+	tl := simtime.NewTimeline(s.M.Env.Clock)
+	for _, st := range steps {
+		if st.Run == nil {
+			continue
+		}
+		var err error
+		tl.Measure(phaseName(st.Name), func() { err = st.Run() })
+		if err != nil {
+			s.Release()
+			return nil, err
+		}
+	}
+	tl.Record(PhaseSendRPC, s.M.Env.Cost.RPCSend)
+	s.AtEntry = true
+	return tl, nil
+}
+
+// phaseNames lists the phases a Run step may record. Run stores the
+// table's copy of a step's name, never the caller's string: escape
+// analysis does not tell a step's name from its closure, so a caller's
+// name reaching the timeline would move every step closure to the heap.
+var phaseNames = [...]string{
+	PhaseManagement, PhaseParseConfig, PhaseBootProcess, PhaseSentryBoot,
+	PhaseGuestLinux, PhaseCreateKernel, PhaseMountRootFS, PhaseLoadTaskImage,
+	PhaseAppInit, PhaseRecoverKernel, PhaseLoadAppMemory, PhaseReconnectIO,
+	PhaseZygoteSpecialize, PhaseMapImage,
+}
+
+// phaseName returns phaseNames' copy of name.
+func phaseName(name string) string {
+	for _, p := range phaseNames {
+		if p == name {
+			return p
+		}
+	}
+	panic("sandbox: boot step with an unknown phase name")
+}
+
+// maxBootSteps bounds one Construct boot's step list, construction
+// included.
+const maxBootSteps = 12
+
+// Construct boots s through Run: first the construction of the sandbox
+// on the critical path, as s.Opts selects it (Figure 2's management,
+// configuration, process boot, Sentry or guest-Linux boot, KVM and kernel
+// creation, rootfs mount), then steps.
+func Construct(s *Sandbox, steps ...Step) (*simtime.Timeline, error) {
+	m, opts := s.M, s.Opts
+	env := m.Env
+	construction := [...]Step{
+		{PhaseManagement, charge(env, opts.Management > 0, opts.Management)},
+		{PhaseParseConfig, func() error { return ParseConfig(m, s.Spec) }},
+		{PhaseBootProcess, func() error {
+			// The sandbox process and the I/O (Gofer) process, slowed by
+			// per-running-instance host interference (Figure 15).
+			env.Charge(env.Cost.HostForkExec)
+			env.Charge(env.Cost.HostForkExec)
+			env.ChargeN(env.Cost.InstanceInterference, m.Live()-1)
+			return nil
+		}},
+		{PhaseSentryBoot, charge(env, opts.SentryBoot, env.Cost.SentryBoot)},
+		{PhaseGuestLinux, charge(env, opts.GuestLinuxBoot > 0, opts.GuestLinuxBoot)},
+		{PhaseCreateKernel, s.createKernel},
+		{PhaseMountRootFS, s.mountRootFS},
+	}
+	// Both lists go into one fixed array element by element: appending,
+	// or copy, would move the steps and their closures to the heap.
+	var all [maxBootSteps]Step
+	n := 0
+	for _, st := range construction {
+		all[n] = st
+		n++
+	}
+	for _, st := range steps {
+		all[n] = st
+		n++
+	}
+	return Run(s, all[:n]...)
+}
+
+// charge returns a step body that charges the fixed cost d, or nil (skip
+// the step) when on is false.
+func charge(env *simenv.Env, on bool, d simtime.Duration) func() error {
+	if !on {
+		return nil
+	}
+	return func() error {
+		env.Charge(d)
+		return nil
+	}
+}
+
 // BootCold performs the full from-scratch boot of Figure 2's upper path:
 // every phase is measured on the returned timeline, and the sandbox ends
 // at its func-entry point.
+//
 //lint:allow ctxflow context-first-entry waived: leaf machine work below the recovery layer's abort points; virtual time cannot block on the host
 func BootCold(m *Machine, spec *workload.Spec, fs *vfs.FSServer, opts Options) (*Sandbox, *simtime.Timeline, error) {
 	if err := spec.Validate(); err != nil {
@@ -237,80 +345,50 @@ func BootCold(m *Machine, spec *workload.Spec, fs *vfs.FSServer, opts Options) (
 	if err := m.AdmitPages(spec.TaskImagePages + spec.InitHeapPages); err != nil {
 		return nil, nil, err
 	}
-	tl := simtime.NewTimeline(m.Env.Clock)
 	s := newShell(m, spec, opts, fs)
-	// A boot that dies mid-way must not leak the partially-built
-	// instance: every error return releases the shell.
-	fail := func(err error) (*Sandbox, *simtime.Timeline, error) {
-		s.Release()
+	tl, err := Construct(s,
+		Step{PhaseLoadTaskImage, s.loadTaskImage},
+		Step{PhaseAppInit, s.runAppInit},
+	)
+	if err != nil {
 		return nil, nil, err
 	}
-
-	if opts.Management > 0 {
-		tl.Record(PhaseManagement, opts.Management)
-	}
-	var cfgErr error
-	tl.Measure(PhaseParseConfig, func() {
-		cfgErr = ParseConfig(m, spec)
-	})
-	if cfgErr != nil {
-		return fail(cfgErr)
-	}
-	tl.Measure(PhaseBootProcess, func() {
-		// The sandbox process and the I/O (Gofer) process, slowed by
-		// per-running-instance host interference (Figure 15).
-		m.Env.Charge(m.Env.Cost.HostForkExec)
-		m.Env.Charge(m.Env.Cost.HostForkExec)
-		m.Env.ChargeN(m.Env.Cost.InstanceInterference, m.Live()-1)
-	})
-	if opts.SentryBoot {
-		tl.Record(PhaseSentryBoot, m.Env.Cost.SentryBoot)
-	}
-	if opts.GuestLinuxBoot > 0 {
-		tl.Record(PhaseGuestLinux, opts.GuestLinuxBoot)
-	}
-	tl.Measure(PhaseCreateKernel, func() {
-		if opts.HardwareVM {
-			s.VM = m.KVM.CreateVM()
-			for i := 0; i < opts.VCPUs; i++ {
-				s.VM.AddVCPU()
-			}
-			// One region covering task image + heap.
-			_ = s.VM.SetMemoryRegion(uint64(spec.TaskImagePages + spec.InitHeapPages))
-		}
-		baseObjs := 30
-		if opts.GuestKernel {
-			baseObjs = baseKernelObjects
-		}
-		s.Kernel = guest.NewKernel(m.Env, KernelSeed(spec.Name), baseObjs)
-	})
-	var mountErr error
-	tl.Measure(PhaseMountRootFS, func() {
-		mountErr = s.mountRootFS(fs)
-	})
-	if mountErr != nil {
-		return fail(mountErr)
-	}
-	var bootErr error
-	tl.Measure(PhaseLoadTaskImage, func() {
-		bootErr = s.loadTaskImage(opts.Profile)
-	})
-	if bootErr != nil {
-		return fail(bootErr)
-	}
-	tl.Measure(PhaseAppInit, func() {
-		bootErr = s.runAppInit(opts.Profile)
-	})
-	if bootErr != nil {
-		return fail(bootErr)
-	}
-	tl.Record(PhaseSendRPC, m.Env.Cost.RPCSend)
-	s.AtEntry = true
 	return s, tl, nil
 }
 
-func (s *Sandbox) mountRootFS(fs *vfs.FSServer) error {
-	if err := s.Kernel.Mount(vfs.Mount{Target: "/", FSType: "rootfs", Tree: fs.Root()}); err != nil {
+// createKernel creates the sandbox's KVM VM, when its options ask for
+// one, and its guest kernel. A restored sandbox's kernel comes from a
+// checkpoint in a later step.
+func (s *Sandbox) createKernel() error {
+	m, opts := s.M, s.Opts
+	if opts.HardwareVM {
+		s.VM = m.KVM.CreateVM()
+		for i := 0; i < opts.VCPUs; i++ {
+			s.VM.AddVCPU()
+		}
+		// One region covering task image + heap.
+		_ = s.VM.SetMemoryRegion(uint64(s.Spec.TaskImagePages + s.Spec.InitHeapPages))
+	}
+	if s.Restored {
+		return nil
+	}
+	baseObjs := 30
+	if opts.GuestKernel {
+		baseObjs = baseKernelObjects
+	}
+	s.Kernel = guest.NewKernel(m.Env, KernelSeed(s.Spec.Name), baseObjs)
+	return nil
+}
+
+// mountRootFS mounts the function's rootfs and bind mounts into the
+// guest kernel. A restored kernel brings its own mount objects, so for a
+// restored sandbox only the host-side mount work happens.
+func (s *Sandbox) mountRootFS() error {
+	if s.Restored {
+		s.M.Env.ChargeN(s.M.Env.Cost.MountFS, 1+s.Spec.RootMounts)
+		return nil
+	}
+	if err := s.Kernel.Mount(vfs.Mount{Target: "/", FSType: "rootfs", Tree: s.Overlay.Server().Root()}); err != nil {
 		return err
 	}
 	for i := 0; i < s.Spec.RootMounts; i++ {
@@ -324,7 +402,7 @@ func (s *Sandbox) mountRootFS(fs *vfs.FSServer) error {
 
 // loadTaskImage maps and reads the wrapper/runtime binary from the
 // rootfs (Figure 2's "Load task image": 19.9 ms for the JVM).
-func (s *Sandbox) loadTaskImage(p workload.Profile) error {
+func (s *Sandbox) loadTaskImage() error {
 	v := s.taskVMA()
 	if err := s.AS.Map(v); err != nil {
 		return err
@@ -332,16 +410,17 @@ func (s *Sandbox) loadTaskImage(p workload.Profile) error {
 	seed := MemSeed(s.Spec.Name) ^ 0x7a51
 	return s.AS.PopulateRange(v.Start, v.End,
 		func(page uint64) uint64 { return seed + page },
-		func() { s.M.Env.Charge(p.PageRead) },
+		func() { s.M.Env.Charge(s.Opts.Profile.PageRead) },
 	)
 }
 
 // runAppInit executes the wrapped program's initialization up to the
 // func-entry point: runtime bootstrap, library/class loading, heap
 // dirtying, guest-kernel object creation and I/O connection opening.
-func (s *Sandbox) runAppInit(p workload.Profile) error {
+func (s *Sandbox) runAppInit() error {
 	env := s.M.Env
 	spec := s.Spec
+	p := s.Opts.Profile
 
 	// CPU + syscalls + mmaps + file loads.
 	env.Charge(spec.InitCost(p))
@@ -561,12 +640,6 @@ func NewRestoredShell(m *Machine, spec *workload.Spec, opts Options, fs *vfs.FSS
 	return s
 }
 
-// SetVM attaches the hardware VM created by a boot path.
-func (s *Sandbox) SetVM(vm *host.VM) { s.VM = vm }
-
-// SetKernel attaches the restored guest kernel.
-func (s *Sandbox) SetKernel(k *guest.Kernel) { s.Kernel = k }
-
 // MapImageHeap maps the function's heap VMA over a shared image backing
 // (overlay memory, §3.1): no pages are loaded until faulted.
 func (s *Sandbox) MapImageHeap(backing memory.Backing) error {
@@ -578,8 +651,10 @@ func (s *Sandbox) MapImageHeap(backing memory.Backing) error {
 	return s.AS.Map(v)
 }
 
-// LoadAllHeap eagerly loads the full memory section from the image
-// (decompress + copy per page), the non-overlay ablation path.
+// LoadAllHeap loads the image's entire memory section into private
+// frames on the critical path, decompressing and copying each page:
+// gVisor-restore's path (Figure 2's "Load App memory": 128.8 ms for
+// SPECjbb's 200 MB) and the non-overlay ablation.
 func (s *Sandbox) LoadAllHeap(img *image.Image) error {
 	v := s.heapVMA()
 	if v.Pages() == 0 {
@@ -618,28 +693,30 @@ func (s *Sandbox) Release() {
 	s.M.live--
 }
 
-// Probe performs one liveness check (machine lock held by the caller —
-// a probe is machine work and charges one RPC round-trip). It draws the
-// sandbox-wedge site on healthy instances — firing wedges the instance
-// from this probe on — and the probe-false-negative site on wedged
-// ones, where firing makes the probe lie and report healthy. It returns
-// whether the instance should be considered healthy; a released
-// instance is not.
+// Probe performs one liveness check of the sandbox (see ProbeLiveness).
+// A released instance is not healthy.
 func (s *Sandbox) Probe() bool {
 	if s.released {
 		return false
 	}
-	s.M.Env.Charge(s.M.Env.Cost.RPCSend)
-	if !s.Wedged {
-		if s.M.Faults.Check(faults.SiteSandboxWedge) != nil {
-			s.Wedged = true
-		}
+	return ProbeLiveness(s.M, &s.Wedged)
+}
+
+// ProbeLiveness performs one liveness check of an instance whose wedge
+// state is *wedged (machine lock held by the caller — a probe is machine
+// work and charges one RPC round-trip). It draws the sandbox-wedge site
+// on a healthy instance — firing wedges it from this probe on — and the
+// probe-false-negative site on a wedged one, where firing makes the
+// probe lie and report healthy. It returns whether the instance should
+// be considered healthy.
+func ProbeLiveness(m *Machine, wedged *bool) bool {
+	m.Env.Charge(m.Env.Cost.RPCSend)
+	if !*wedged && m.Faults.Check(faults.SiteSandboxWedge) != nil {
+		*wedged = true
 	}
-	if s.Wedged {
-		if s.M.Faults.Check(faults.SiteProbeFalseNegative) != nil {
-			return true // the probe missed the wedge this round
-		}
-		return false
+	if *wedged {
+		// Firing means the probe missed the wedge this round.
+		return m.Faults.Check(faults.SiteProbeFalseNegative) != nil
 	}
 	return true
 }

@@ -1,6 +1,8 @@
 package sandbox
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"catalyzer/internal/costmodel"
@@ -299,5 +301,73 @@ func TestMemSeedStable(t *testing.T) {
 	}
 	if MemSeed("x")&1 != 1 {
 		t.Fatal("seed must be odd")
+	}
+}
+
+func TestRunStopsAtFirstFailureAndReleases(t *testing.T) {
+	m := NewMachine(costmodel.Default())
+	s := NewRestoredShell(m, workload.MustGet("c-hello"), GVisorOptions(m), newRootFS())
+	boom := errors.New("boom")
+	ran := 0
+	tl, err := Run(s,
+		Step{PhaseParseConfig, func() error { ran++; return nil }},
+		Step{PhaseSentryBoot, nil},
+		Step{PhaseBootProcess, func() error { ran++; return boom }},
+		Step{PhaseCreateKernel, func() error { ran++; return nil }},
+	)
+	if !errors.Is(err, boom) || tl != nil {
+		t.Fatalf("Run = %v, %v; want nil timeline and the step's error", tl, err)
+	}
+	if ran != 2 {
+		t.Fatalf("%d steps ran, want 2 (the rest skipped after the failure)", ran)
+	}
+	if !s.Released() || m.Live() != 0 || s.AtEntry {
+		t.Fatalf("failed boot: released=%v live=%d atEntry=%v; want the shell released", s.Released(), m.Live(), s.AtEntry)
+	}
+
+	s = NewRestoredShell(m, workload.MustGet("c-hello"), GVisorOptions(m), newRootFS())
+	tl, err = Run(s, Step{PhaseSentryBoot, nil}, Step{PhaseParseConfig, func() error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, ph := range tl.Phases() {
+		names = append(names, ph.Name)
+	}
+	if want := []string{PhaseParseConfig, PhaseSendRPC}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("phases = %v, want %v (a nil step records nothing)", names, want)
+	}
+	if !s.AtEntry {
+		t.Fatal("completed boot not at its func-entry point")
+	}
+}
+
+// Boot steps are closures over the boot's state; neither Run nor
+// Construct may move them to the heap. The shell has no VM to create,
+// so construction allocates the same on every call.
+func TestRunKeepsStepClosuresOnStack(t *testing.T) {
+	m := NewMachine(costmodel.Default())
+	s := NewRestoredShell(m, workload.MustGet("c-hello"), Options{}, newRootFS())
+	n := 0
+	static := func() error { return nil }
+	runStatic := testing.AllocsPerRun(50, func() {
+		_, _ = Run(s, Step{PhaseMapImage, static}, Step{PhaseRecoverKernel, static})
+	})
+	runCaptured := testing.AllocsPerRun(50, func() {
+		_, _ = Run(s, Step{PhaseMapImage, func() error { n++; return nil }}, Step{PhaseRecoverKernel, func() error { n += 2; return nil }})
+	})
+	constructStatic := testing.AllocsPerRun(50, func() {
+		_, _ = Construct(s, Step{PhaseMapImage, static}, Step{PhaseRecoverKernel, static})
+	})
+	constructCaptured := testing.AllocsPerRun(50, func() {
+		_, _ = Construct(s, Step{PhaseMapImage, func() error { n++; return nil }}, Step{PhaseRecoverKernel, func() error { n += 2; return nil }})
+	})
+	if runCaptured != runStatic {
+		t.Errorf("Run: %v allocs with capturing steps, %v with static ones", runCaptured, runStatic)
+	}
+	// Construction parses the function's config through encoding/json,
+	// whose buffer pool makes counts inexact under -race.
+	if constructCaptured != constructStatic && !raceEnabled {
+		t.Errorf("Construct: %v allocs with capturing steps, %v with static ones", constructCaptured, constructStatic)
 	}
 }
