@@ -67,9 +67,10 @@ chaos:
 	$(GO) test -run 'Chaos' -v .
 
 # Supervision & self-healing suite (probes, watchdog, lineage poisoning,
-# crash-loop parking) under the race detector; mirrors the CI race job.
+# crash-loop parking, the same-seed supervision golden) under the race
+# detector; CI runs this target.
 chaos-supervision:
-	$(GO) test -race -count=2 -run 'TestChaosSupervision|TestPoisonedTemplateContainment|TestWatchdogKillReleasesAdmissionSlot|TestCrashLoopParksAndRecovers|TestShutdownDrainsSupervision' ./...
+	$(GO) test -race -count=2 -run 'TestChaosSupervision|TestChaosSupervisionDeterministic|TestPoisonedTemplateContainment|TestWatchdogKillReleasesAdmissionSlot|TestCrashLoopParksAndRecovers|TestShutdownDrainsSupervision' ./...
 
 # Fleet convergence suite (machine crash injection, failover placement,
 # re-replication, same-seed determinism) under the race detector;

@@ -2,6 +2,7 @@ package catalyzer
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"catalyzer/internal/simtime"
@@ -25,14 +26,40 @@ var chaosSupervisionRates = map[string]float64{
 // supervision site armed at once, only typed errors escape Invoke, the
 // self-healing machinery demonstrably runs (probes, evictions, watchdog
 // kills), and after the faults clear the platform converges — parks
-// expire on the virtual clock, invocations succeed again, background
-// regens and refills drain, and nothing leaks. Zero host-clock reads:
-// the whole run, park backoffs included, advances on virtual time only.
+// expire on the virtual clock, invocations succeed again, queued regens
+// run, and nothing leaks. Zero host-clock reads: the whole run, park
+// backoffs and self-healing included, advances on virtual time only.
 func TestChaosSupervision(t *testing.T) {
-	n := 300
-	if testing.Short() {
-		n = 60
+	runChaosSupervision(t, chaosSupervisionN())
+}
+
+// TestChaosSupervisionDeterministic: the same seed gives the same
+// supervision run, outcome by outcome and counter by counter, and that
+// run is the committed golden.
+func TestChaosSupervisionDeterministic(t *testing.T) {
+	n := chaosSupervisionN()
+	a, b := runChaosSupervision(t, n), runChaosSupervision(t, n)
+	if a != b {
+		t.Fatalf("same seed diverged:\n%s\nvs\n%s", a, b)
 	}
+	checkGolden(t, "chaos_supervision_deterministic.golden", a)
+}
+
+// chaosSupervisionN is the supervision suite's invocation count: 300,
+// or 60 under -short.
+func chaosSupervisionN() int {
+	if testing.Short() {
+		return 60
+	}
+	return 300
+}
+
+// runChaosSupervision runs the supervision suite for n chaos invocations
+// on seed 19, checks its invariants, and renders the run for a golden:
+// each chaos invocation's served-by or error kind, then the final
+// failure and supervision stats after Close.
+func runChaosSupervision(t *testing.T, n int) string {
+	t.Helper()
 	c := newHost(t,
 		WithFaultSeed(19),
 		// Cap the park backoff so post-chaos convergence needs only a
@@ -51,10 +78,11 @@ func TestChaosSupervision(t *testing.T) {
 	}
 
 	kinds := []BootKind{ForkBoot, WarmBoot, ColdBoot}
-	for i := 0; i < n; i++ {
+	outcomes := make([]string, n)
+	for i := range outcomes {
 		inv, err := c.Invoke(context.Background(), "c-hello", kinds[i%len(kinds)])
 		if err != nil {
-			if !typedError(err) {
+			if outcomes[i] = errKind(err); outcomes[i] == "" {
 				t.Fatalf("iteration %d: non-typed error escaped Invoke: %v", i, err)
 			}
 			continue
@@ -62,6 +90,7 @@ func TestChaosSupervision(t *testing.T) {
 		if inv.ServedBy == "" {
 			t.Fatalf("iteration %d: invocation missing ServedBy", i)
 		}
+		outcomes[i] = string(inv.ServedBy)
 	}
 
 	// The supervision machinery must actually have been exercised.
@@ -94,11 +123,10 @@ func TestChaosSupervision(t *testing.T) {
 		}
 	}
 
-	// Background self-healing (template regens, pool refills) drains and
-	// nothing leaks: only the two template sandboxes stay alive.
-	waitSupervision(c)
+	// Close runs what is still queued, and nothing leaks.
 	c.Close()
 	if got := c.Running(); got != 0 {
 		t.Fatalf("leaked live instances after supervision chaos + Close: %d", got)
 	}
+	return fmt.Sprintf("outcomes: %v\nstats: %+v\nsupervise: %+v\n", outcomes, c.FailureStats(), c.SuperviseStats())
 }

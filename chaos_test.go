@@ -50,28 +50,45 @@ func chaosRender(placements []int, stats any) string {
 	return fmt.Sprintf("placements: %v\nstats: %+v\n", placements, stats)
 }
 
+// typedErrors lists the API's re-exported sentinels by name.
+var typedErrors = []struct {
+	name string
+	err  error
+}{
+	{"ErrNotRegistered", ErrNotRegistered},
+	{"ErrNoImage", ErrNoImage},
+	{"ErrNoTemplate", ErrNoTemplate},
+	{"ErrUnknownSystem", ErrUnknownSystem},
+	{"ErrOverloaded", ErrOverloaded},
+	{"ErrDraining", ErrDraining},
+	{"ErrDeadlineExceeded", ErrDeadlineExceeded},
+	{"ErrCanceled", ErrCanceled},
+	{"ErrOutOfMemory", ErrOutOfMemory},
+	{"ErrWedged", ErrWedged},
+	{"ErrPoisoned", ErrPoisoned},
+	{"ErrInvocationHung", ErrInvocationHung},
+	{"ErrCrashLooping", ErrCrashLooping},
+}
+
+// errKind names err's typed kind for a golden: the first re-exported
+// sentinel it wraps, else "BootError" for an exhausted chain, else "".
+func errKind(err error) string {
+	for _, k := range typedErrors {
+		if errors.Is(err, k.err) {
+			return k.name
+		}
+	}
+	var be *BootError
+	if errors.As(err, &be) {
+		return "BootError"
+	}
+	return ""
+}
+
 // typedError reports whether err is one of the API's typed failures — a
 // BootError from an exhausted chain or a re-exported sentinel. The chaos
 // invariant is that nothing else ever escapes Invoke.
-func typedError(err error) bool {
-	var be *BootError
-	if errors.As(err, &be) {
-		return true
-	}
-	return errors.Is(err, ErrNotRegistered) ||
-		errors.Is(err, ErrNoImage) ||
-		errors.Is(err, ErrNoTemplate) ||
-		errors.Is(err, ErrUnknownSystem) ||
-		errors.Is(err, ErrOverloaded) ||
-		errors.Is(err, ErrDraining) ||
-		errors.Is(err, ErrDeadlineExceeded) ||
-		errors.Is(err, ErrCanceled) ||
-		errors.Is(err, ErrOutOfMemory) ||
-		errors.Is(err, ErrWedged) ||
-		errors.Is(err, ErrPoisoned) ||
-		errors.Is(err, ErrInvocationHung) ||
-		errors.Is(err, ErrCrashLooping)
-}
+func typedError(err error) bool { return errKind(err) != "" }
 
 // runChaos drives n invocations across the three Catalyzer boot paths
 // with the given fault seed, refreshing the func-image from the store

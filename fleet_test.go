@@ -42,15 +42,6 @@ func refresh(f *Fleet, name string) error {
 	return nil
 }
 
-// waitSupervision blocks until every machine's in-flight probes and
-// self-healing tasks (template regens, Zygote pool refills) have
-// finished.
-func waitSupervision(f *Fleet) {
-	for _, p := range f.members() {
-		p.WaitSupervise()
-	}
-}
-
 // deployedFleet builds a fleet with c-hello deployed, closed when the
 // test ends.
 func deployedFleet(t *testing.T, cfg FleetConfig, opts ...Option) *Fleet {

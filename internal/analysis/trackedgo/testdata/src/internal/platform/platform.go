@@ -3,14 +3,11 @@
 // drained, splitting shutdown into two drain paths.
 package platform
 
-import "sync"
+type supervisor struct{ queue []func() }
 
-type supervisor struct{ wg sync.WaitGroup }
-
-// Go is the tracked spawn primitive the analyzer wants routed through.
-func (s *supervisor) Go(fn func()) bool {
-	s.wg.Add(1)
-	go fn() // want `bare go statement in a library package`
+// Defer is the queue the analyzer wants background work routed through.
+func (s *supervisor) Defer(key string, fn func()) bool {
+	s.queue = append(s.queue, fn)
 	return true
 }
 
@@ -23,7 +20,7 @@ func (p *platform) startRebuildBad(fn func()) {
 }
 
 func (p *platform) startRebuildGood(fn func()) {
-	p.sup.Go(fn)
+	p.sup.Defer("rebuild", fn)
 }
 
 func (p *platform) startRebuildWaived(fn func()) {

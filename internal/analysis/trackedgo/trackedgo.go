@@ -1,26 +1,24 @@
 // Package trackedgo forbids bare `go` statements in library packages.
 //
-// The platform's shutdown contract is that Close drains every goroutine
-// it started: the supervisor tracks workers via Supervisor.Go, which
-// refuses new work after Close and lets Wait/Close block until the last
-// tracked goroutine exits. A bare `go` statement escapes that
-// accounting — the goroutine can outlive Close, race teardown (unmap
-// image frames, poison the journal mid-write), and under virtual time
-// it never gets scheduled deterministically. PR 7's watchdog arc made
-// this contract load-bearing; this analyzer makes it mechanical.
+// The platform's shutdown contract is that Close drains every piece of
+// self-healing work, and its determinism contract is that such work
+// charges the virtual clock at the same point in every same-seed run.
+// Both hold because library code starts no goroutine: background work
+// is queued with Supervisor.Defer and runs on the calling goroutine at
+// the next Poll, or at Close. A bare `go` statement escapes that queue
+// — the goroutine can outlive Close, race teardown (unmap image frames,
+// poison the journal mid-write), and under virtual time it charges the
+// machine clock wherever the Go scheduler happens to run it.
 //
 // Exempt:
 //
 //   - package main (a binary's top-level loop owns its own lifetime;
 //     cmd/catalyzerd's signal pump has nothing to drain into);
-//   - internal/supervise itself (it implements the tracking machinery,
-//     so its own `go` statements are the primitive being wrapped);
 //   - anything carrying //lint:allow trackedgo <reason>.
 package trackedgo
 
 import (
 	"go/ast"
-	"strings"
 
 	"catalyzer/internal/analysis"
 )
@@ -28,15 +26,12 @@ import (
 // Analyzer is the tracked-goroutine invariant checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "trackedgo",
-	Doc:  "library packages must not start bare goroutines; route them through the supervisor's tracked Go so Close can drain them",
+	Doc:  "library packages must not start goroutines; queue background work with the supervisor's Defer so Poll runs it deterministically and Close drains it",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
 	if pass.Pkg != nil && pass.Pkg.Name() == "main" {
-		return nil
-	}
-	if pass.PkgPath == "internal/supervise" || strings.HasSuffix(pass.PkgPath, "/internal/supervise") {
 		return nil
 	}
 	for _, f := range pass.Files {
@@ -45,7 +40,7 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			pass.Reportf(gs.Pos(), "bare go statement in a library package: the goroutine escapes supervisor accounting and can outlive Close; use the supervisor's tracked Go")
+			pass.Reportf(gs.Pos(), "bare go statement in a library package: the goroutine escapes the supervisor's queue, can outlive Close and charges virtual time at a scheduler-dependent point; queue the work with the supervisor's Defer")
 			return true
 		})
 	}

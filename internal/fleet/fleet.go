@@ -1064,7 +1064,8 @@ func (f *Fleet) planRepairsLocked(downIdxs []int) []repair {
 // the local template when none was ever built on m (off the request's
 // measured boot latency, like any artifact preparation). A template the
 // machine dropped is left to its own recovery: the boot degrades
-// through the fallback chain while the async regen rebuilds it.
+// through the fallback chain until the machine's queued regen rebuilds
+// it.
 func (f *Fleet) ensureArtifacts(m *member, name string, sys platform.System) error {
 	switch sys {
 	case platform.CatalyzerRestore, platform.CatalyzerZygote, platform.CatalyzerSfork,

@@ -244,7 +244,7 @@ func countingFleet(t *testing.T, cfg Config) (*Fleet, []*countingNode) {
 // TestPoisonedTemplateLeftToRegen: once a poisoning verdict quarantines
 // a machine's template, the fleet does not rebuild it on the request
 // path. Fork invokes keep serving through the fallback chain, and the
-// machine's async regen is what brings the template back.
+// machine's queued regen is what brings the template back.
 func TestPoisonedTemplateLeftToRegen(t *testing.T) {
 	f, nodes := countingFleet(t, Config{Machines: 1, Seed: 11})
 	ctx := context.Background()
@@ -277,13 +277,14 @@ func TestPoisonedTemplateLeftToRegen(t *testing.T) {
 	if m.templateBuilds != builds {
 		t.Fatalf("the fleet built the quarantined template on the request path %d time(s)", m.templateBuilds-builds)
 	}
-	// Until the regen lands, fork boots degrade; it runs concurrently, so
-	// how many of the five it overlaps is up to the scheduler.
-	t.Logf("%d of 5 fork invokes degraded before the regen landed", degraded)
-
-	m.WaitSupervise()
+	// The verdict queues the regen for the machine's next supervision
+	// Poll, which runs as the next boot leaves: exactly that one fork
+	// invoke degrades.
+	if degraded != 1 {
+		t.Fatalf("%d of 5 fork invokes degraded, want 1: the regen did not land at the first Poll", degraded)
+	}
 	if st := m.FailureStats(); st.TemplateRegens != 1 {
-		t.Fatalf("TemplateRegens = %d, want 1: the async regen did not rebuild the template", st.TemplateRegens)
+		t.Fatalf("TemplateRegens = %d, want 1: the queued regen did not rebuild the template", st.TemplateRegens)
 	}
 	res, _, err := f.Invoke(ctx, "c-hello", platform.CatalyzerSfork)
 	if err != nil || res.System != platform.CatalyzerSfork {

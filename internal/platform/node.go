@@ -67,7 +67,7 @@ func (p *Platform) HasTemplate(name string) bool {
 // template the platform itself dropped — a poisoning verdict, a
 // wedged-template probe eviction, a failed quarantine rebuild, LRU
 // retirement, Close — does not count: fork boots degrade through the
-// fallback chain, and the supervisor's async regen (where one runs)
+// fallback chain, and the supervisor's queued regen (where one runs)
 // rebuilds it off the request path.
 func (p *Platform) NeedsTemplate(name string) bool {
 	f, err := p.Lookup(name)

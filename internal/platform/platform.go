@@ -100,14 +100,6 @@ type Platform struct {
 	// store, when set, persists func-images across platform restarts.
 	store *image.Store
 
-	// Off-critical-path image rebuilds (after a rollback to the
-	// last-known-good generation). rebuilding dedups in-flight rebuilds
-	// per function; the goroutines themselves run under the
-	// supervisor's tracked Go, so Close/WaitRebuilds share one drain
-	// path with every other self-healing task.
-	rebuildMu  sync.Mutex
-	rebuilding map[string]bool
-
 	// rec is the failure-recovery state: fallback accounting, circuit
 	// breakers, template quarantine counters. Guarded by its own mutex
 	// (see recovery.go).
@@ -119,15 +111,10 @@ type Platform struct {
 
 	// sup is the runtime supervision layer: virtual-time liveness probes
 	// over keep-warm instances / templates / pooled Zygotes, the
-	// crash-loop tracker, and the tracked goroutines self-healing work
-	// (template regeneration, pool refills) runs on (see supervise.go).
+	// crash-loop tracker, and the queue of self-healing work (template
+	// regeneration, image rebuilds) that its Poll runs (see
+	// supervise.go).
 	sup *supervise.Supervisor
-
-	// Poisoned-template regeneration dedup, mirroring rebuilding above:
-	// at most one regen in flight per function. The regen goroutines
-	// themselves are tracked by sup.
-	regenMu  sync.Mutex
-	regening map[string]bool
 
 	// reclaimers free idle memory (keep-warm instances, ...) under
 	// pressure, consulted before failing a boot with ErrOutOfMemory.
@@ -193,15 +180,13 @@ func NewWithConfig(cost *costmodel.Model, cfg Config) (*Platform, error) {
 	m := sandbox.NewMachine(cost)
 	cat := core.New(m)
 	p := &Platform{
-		M:          m,
-		Cat:        cat,
-		Zygotes:    core.NewZygotePool(cat, cfg.ZygotePoolSize),
-		funcs:      make(map[string]*Function),
-		buildCost:  cost,
-		rec:        newRecovery(),
-		rebuilding: make(map[string]bool),
-		regening:   make(map[string]bool),
-		cfg:        cfg,
+		M:         m,
+		Cat:       cat,
+		Zygotes:   core.NewZygotePool(cat, cfg.ZygotePoolSize),
+		funcs:     make(map[string]*Function),
+		buildCost: cost,
+		rec:       newRecovery(),
+		cfg:       cfg,
 	}
 	p.sup = supervise.New(m.Now, cfg.Supervise)
 	p.registerProbes()
@@ -498,24 +483,11 @@ func (p *Platform) persistImage(img *image.Image) {
 	}
 }
 
-// startRebuild kicks off an off-critical-path image rebuild for f,
-// deduplicating concurrent requests per function. The rebuild runs as
-// a supervisor-tracked task: it never starts after Close, and Close
-// drains it alongside template regens and pool refills.
+// startRebuild queues an off-critical-path image rebuild of f for the
+// supervisor's next Poll, at most one per function. Nothing is queued
+// after Close, and Close runs a rebuild queued before it.
 func (p *Platform) startRebuild(f *Function) {
-	name := f.Spec.Name
-	p.rebuildMu.Lock()
-	if p.rebuilding[name] {
-		p.rebuildMu.Unlock()
-		return
-	}
-	p.rebuilding[name] = true
-	p.rebuildMu.Unlock()
-	if !p.sup.Go(func() { p.rebuildImage(f) }) {
-		p.rebuildMu.Lock()
-		delete(p.rebuilding, name)
-		p.rebuildMu.Unlock()
-	}
+	p.sup.Defer("rebuild-image:"+f.Spec.Name, func() { p.rebuildImage(f) })
 }
 
 // rebuildImage rebuilds f's func-image offline and swaps it in under
@@ -524,12 +496,6 @@ func (p *Platform) startRebuild(f *Function) {
 // do); otherwise it is closed and lazily re-established by the next
 // restore boot.
 func (p *Platform) rebuildImage(f *Function) {
-	name := f.Spec.Name
-	defer func() {
-		p.rebuildMu.Lock()
-		delete(p.rebuilding, name)
-		p.rebuildMu.Unlock()
-	}()
 	img, err := p.buildOffline(f.Spec)
 	if err != nil {
 		p.rec.addStats(func(s *FailureStats) { s.ImageRebuildFailures++ })
@@ -546,11 +512,6 @@ func (p *Platform) rebuildImage(f *Function) {
 	p.persistImage(img)
 	p.rec.addStats(func(s *FailureStats) { s.ImageRebuilds++ })
 }
-
-// WaitRebuilds blocks until every in-flight supervisor-tracked task —
-// off-critical-path image rebuilds included — has completed (tests and
-// shutdown).
-func (p *Platform) WaitRebuilds() { p.sup.Wait() }
 
 // StoredFunctions lists the function names with a live image in the
 // platform's store (empty without a store) — the set a restarted daemon

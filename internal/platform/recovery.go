@@ -75,8 +75,8 @@ type FailureStats struct {
 	// TemplatesPoisoned counts poisoning verdicts: templates convicted by
 	// correlated failures of their sforked children (each also counts in
 	// TemplatesQuarantined). TemplateRegens / TemplateRegenFailures count
-	// the asynchronous template rebuilds the supervisor runs after a
-	// poisoning verdict or a wedged-template eviction.
+	// the template rebuilds the supervisor's Poll runs after a poisoning
+	// verdict or a wedged-template eviction.
 	TemplatesPoisoned     int `json:"templates_poisoned"`
 	TemplateRegens        int `json:"template_regens"`
 	TemplateRegenFailures int `json:"template_regen_failures"`
@@ -469,11 +469,10 @@ func (p *Platform) InvokeKeepRecover(ctx context.Context, name string, sys Syste
 // artifacts. After Close (and the release of any kept instances) the
 // machine reports zero live sandboxes.
 func (p *Platform) Close() {
-	// Stop the supervisor first: after this no probe fires, no new
-	// self-healing task starts, and every in-flight template regen,
-	// pool refill and off-critical-path image rebuild has drained (all
-	// run under the supervisor's tracked Go and take the machine lock,
-	// so this must happen before we do).
+	// Stop the supervisor first: it runs the template regens and image
+	// rebuilds still queued and waits out any in-flight Poll, and after
+	// it no probe fires and no task runs. Tasks and probes take the
+	// machine lock, so this must happen before we do.
 	p.sup.Close()
 	p.mu.Lock()
 	defer p.mu.Unlock()

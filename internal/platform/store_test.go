@@ -118,6 +118,10 @@ func TestRollbackToLastKnownGood(t *testing.T) {
 	if st.ImagesQuarantined != 1 {
 		t.Fatalf("ImagesQuarantined = %d, want 1", st.ImagesQuarantined)
 	}
+	// The rebuild is only queued: it runs at the next supervision Poll.
+	if st.ImageRebuilds != 0 {
+		t.Fatalf("ImageRebuilds = %d before any Poll, want 0: %+v", st.ImageRebuilds, st)
+	}
 	// The rolled-back image serves an invocation right now.
 	r, err := p2.InvokeRecover(context.Background(), "c-hello", CatalyzerRestore)
 	if err != nil {
@@ -126,11 +130,11 @@ func TestRollbackToLastKnownGood(t *testing.T) {
 	if r.Total() <= 0 {
 		t.Fatal("degenerate invocation")
 	}
-	// The off-critical-path rebuild lands a fresh generation.
-	p2.WaitRebuilds()
+	// The invocation's Poll ran the off-critical-path rebuild, which
+	// landed a fresh generation.
 	st = p2.FailureStats()
 	if st.ImageRebuilds != 1 {
-		t.Fatalf("ImageRebuilds = %d, want 1: %+v", st.ImageRebuilds, st)
+		t.Fatalf("ImageRebuilds = %d after the invocation's Poll, want 1: %+v", st.ImageRebuilds, st)
 	}
 	if _, err := store.Load("c-hello"); err != nil {
 		t.Fatalf("store unreadable after rebuild: %v", err)

@@ -13,13 +13,13 @@ import (
 // into the platform: liveness probes over the Zygote pool and template
 // sandboxes (the keep-warm cache registers its own probe), the
 // hung-invocation watchdog, the sfork lineage poisoning verdict with
-// async template regeneration, and the per-function crash-loop gate.
+// deferred template regeneration, and the per-function crash-loop gate.
 //
-// Everything runs in virtual time. Probes fire from PollSupervise,
-// which the recovered invoke paths call on their way out, so probe and
-// self-healing work is charged to the machine clock outside any
-// invocation's measured latency — the virtual-time meaning of "off the
-// critical path".
+// Everything runs in virtual time. Probes and queued self-healing tasks
+// run from PollSupervise, which the recovered invoke paths call on
+// their way out, so their work is charged to the machine clock outside
+// any invocation's measured latency — the virtual-time meaning of "off
+// the critical path".
 
 // registerProbes installs the platform's built-in probe groups
 // (construction time; the keep-warm cache adds its own via
@@ -36,14 +36,11 @@ func (p *Platform) RegisterProbe(name string, fn func() (checked, evicted int)) 
 	p.sup.Register(name, fn)
 }
 
-// PollSupervise runs every due probe group. The recovered invoke paths
-// call it on their way out; tests call it to force a supervision pass
-// after advancing virtual time.
+// PollSupervise runs every due probe group, then every queued
+// self-healing task (template regens, image rebuilds). The recovered
+// invoke paths call it on their way out; tests call it to force a
+// supervision pass.
 func (p *Platform) PollSupervise() { p.sup.Poll() }
-
-// WaitSupervise blocks until in-flight probes and tracked self-healing
-// tasks (template regens, pool refills) finish.
-func (p *Platform) WaitSupervise() { p.sup.Wait() }
 
 // SuperviseStats returns the supervision accounting (probes run,
 // evictions, crash-loop parks and rejects).
@@ -81,7 +78,8 @@ func (p *Platform) probeZygotes() (checked, evicted int) {
 
 // probeTemplates probes every prepared template sandbox; a wedged
 // template is retired immediately (children already forked keep their
-// pages through their own references) and regenerated asynchronously.
+// pages through their own references) and its regen is queued, so it
+// runs later in the same Poll.
 func (p *Platform) probeTemplates() (checked, evicted int) {
 	for _, f := range p.registeredFunctions() {
 		p.mu.Lock()
@@ -134,9 +132,9 @@ func (p *Platform) executeWatched(name string, s *sandbox.Sandbox) (simtime.Dura
 // template's lineage bookkeeping. Reaching the poisoning verdict —
 // PoisonThreshold *distinct* failed children of one template —
 // quarantines the template (only if it still owns that lineage; a
-// successor is never convicted for a predecessor's children) and
-// rebuilds it asynchronously. Fork boots degrade through ErrNoTemplate
-// to zygote/restore until the regen lands.
+// successor is never convicted for a predecessor's children) and queues
+// its rebuild for the next Poll. Fork boots degrade through
+// ErrNoTemplate to zygote/restore until the regen lands.
 func (p *Platform) noteExecFailure(name string, s *sandbox.Sandbox) {
 	p.sup.NoteFailure(name)
 	lin := s.Lineage
@@ -171,36 +169,17 @@ func (p *Platform) noteExecFailure(name string, s *sandbox.Sandbox) {
 	p.startTemplateRegen(f)
 }
 
-// startTemplateRegen kicks off an async rebuild of f's template sandbox
-// (after a poisoning verdict or a wedged-template eviction),
-// deduplicating concurrent requests per function. The task is tracked
-// by the supervisor: Close drains it, and nothing starts after Close.
+// startTemplateRegen queues a rebuild of f's template sandbox (after a
+// poisoning verdict or a wedged-template eviction) for the supervisor's
+// next Poll, at most one per function. Nothing is queued after Close.
 func (p *Platform) startTemplateRegen(f *Function) {
-	name := f.Spec.Name
-	p.regenMu.Lock()
-	if p.regening[name] {
-		p.regenMu.Unlock()
-		return
-	}
-	p.regening[name] = true
-	p.regenMu.Unlock()
-	if !p.sup.Go(func() { p.regenTemplate(f) }) {
-		p.regenMu.Lock()
-		delete(p.regening, name)
-		p.regenMu.Unlock()
-	}
+	p.sup.Defer("regen-template:"+f.Spec.Name, func() { p.regenTemplate(f) })
 }
 
 // regenTemplate rebuilds f's template under the machine lock. If some
 // other path (PrepareTemplate, noteSforkFailure's Refresh) already
 // installed one, the regen stands down.
 func (p *Platform) regenTemplate(f *Function) {
-	name := f.Spec.Name
-	defer func() {
-		p.regenMu.Lock()
-		delete(p.regening, name)
-		p.regenMu.Unlock()
-	}()
 	p.mu.Lock()
 	if f.Tmpl != nil {
 		p.mu.Unlock()

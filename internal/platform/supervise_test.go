@@ -57,8 +57,8 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestZygoteProbePrunesAndRefills: wedged pooled Zygotes are pruned by
-// the probe and the pool is topped back up by a tracked background task,
-// off any invocation's critical path.
+// the probe and the pool is topped back up in the same Poll, off any
+// invocation's critical path.
 func TestZygoteProbePrunesAndRefills(t *testing.T) {
 	p := supervised(t, "c-hello")
 	// A zygote boot populates the pool to its target.
@@ -70,9 +70,8 @@ func TestZygoteProbePrunesAndRefills(t *testing.T) {
 	}
 
 	p.ArmFault(faults.SiteSandboxWedge, 1)
-	p.PollSupervise() // prune runs inline; the refill is backgrounded
+	p.PollSupervise() // prune and refill both run inline
 	p.DisarmFaults()
-	p.WaitSupervise()
 
 	if p.Zygotes.Ready() != p.Zygotes.Target() {
 		t.Fatalf("pool not refilled after prune: %d/%d", p.Zygotes.Ready(), p.Zygotes.Target())
@@ -84,8 +83,8 @@ func TestZygoteProbePrunesAndRefills(t *testing.T) {
 }
 
 // TestTemplateProbeQuarantineAndRegen: a wedged template sandbox is
-// retired by the probe and rebuilt asynchronously; fork boots work again
-// once the regen lands.
+// retired by the probe and rebuilt later in the same Poll; fork boots
+// work again once the regen lands.
 func TestTemplateProbeQuarantineAndRegen(t *testing.T) {
 	p := supervised(t, "c-hello")
 	f, err := p.Lookup("c-hello")
@@ -96,7 +95,6 @@ func TestTemplateProbeQuarantineAndRegen(t *testing.T) {
 	p.ArmFault(faults.SiteSandboxWedge, 1)
 	p.PollSupervise()
 	p.DisarmFaults()
-	p.WaitSupervise()
 
 	p.mu.Lock()
 	tmpl := f.Tmpl
@@ -138,7 +136,7 @@ func TestTemplateRegenDeduplicated(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	p.WaitSupervise()
+	p.PollSupervise()
 
 	if st := p.FailureStats(); st.TemplateRegens != 1 {
 		t.Fatalf("TemplateRegens = %d, want 1 (regen not deduplicated)", st.TemplateRegens)
@@ -204,15 +202,27 @@ func TestWatchdogKillChargesBudgetAndReaps(t *testing.T) {
 	}
 }
 
-// TestSuperviseCloseDrains: after Close, no probe fires and no new
-// self-healing task starts — the shutdown drain contract the daemon
-// relies on.
+// TestSuperviseCloseDrains: Close runs the self-healing work queued
+// before it; after Close no probe fires and no new task runs — the
+// shutdown drain contract the daemon relies on.
 func TestSuperviseCloseDrains(t *testing.T) {
 	p := supervised(t, "c-hello")
 	if _, err := p.Invoke("c-hello", CatalyzerSfork); err != nil {
 		t.Fatal(err)
 	}
+	f, _ := p.Lookup("c-hello")
+	p.mu.Lock()
+	f.Tmpl.Retire()
+	f.Tmpl = nil
+	p.mu.Unlock()
+	p.startTemplateRegen(f)
+	if st := p.FailureStats(); st.TemplateRegens != 0 {
+		t.Fatalf("regen ran before any Poll or Close: %+v", st)
+	}
 	p.Close()
+	if st := p.FailureStats(); st.TemplateRegens != 1 {
+		t.Fatalf("regen queued before Close did not run: %+v", st)
+	}
 
 	snapshot := p.SuperviseStats().ProbesRun
 	p.M.Env.Charge(simtime.Second)
@@ -221,18 +231,12 @@ func TestSuperviseCloseDrains(t *testing.T) {
 		t.Fatalf("probe fired after Close: %d -> %d", snapshot, got)
 	}
 
-	// Self-healing scheduled after Close is dropped, not leaked: the
-	// regen bookkeeping stays clean and no template appears.
-	f, _ := p.Lookup("c-hello")
+	// Self-healing scheduled after Close is dropped: neither a Poll nor
+	// a second Close runs it.
 	p.startTemplateRegen(f)
-	p.WaitSupervise()
-	if st := p.FailureStats(); st.TemplateRegens != 0 {
-		t.Fatalf("regen ran after Close: %+v", st)
-	}
-	p.regenMu.Lock()
-	pending := len(p.regening)
-	p.regenMu.Unlock()
-	if pending != 0 {
-		t.Fatalf("regen bookkeeping leaked after Close: %d entries", pending)
+	p.PollSupervise()
+	p.Close()
+	if st := p.FailureStats(); st.TemplateRegens != 1 {
+		t.Fatalf("regen queued after Close ran: %+v", st)
 	}
 }

@@ -6,10 +6,10 @@
 // templates, hung invocations, and functions stuck in crash loops.
 //
 // Everything is virtual-time driven. The supervisor owns no timer and
-// spawns no ticker: probes are declared with a cadence and executed by
-// Poll, which the platform calls at natural quiescent points (the end of
-// each recovered invocation). A probe whose interval has elapsed on the
-// virtual clock runs; the rest wait. This keeps the whole layer
+// starts no goroutine: probes are declared with a cadence and executed
+// by Poll, which the platform calls at natural quiescent points (the end
+// of each recovered invocation). A probe whose interval has elapsed on
+// the virtual clock runs; the rest wait. This keeps the whole layer
 // deterministic under the repo's wallclock invariant (no host clock
 // reads outside internal/simtime) while still modelling "background"
 // health loops: probe work is charged to the machine clock outside any
@@ -18,11 +18,11 @@
 //
 // The supervisor also tracks per-function crash loops in a sliding
 // virtual-time window and parks repeat offenders with exponential
-// backoff (typed ErrCrashLooping), and carries the tracked-goroutine
-// plumbing (Go/Close) that lets the platform run template regeneration
-// and pool refills asynchronously yet drain them deterministically at
-// shutdown: after Close returns, no probe fires and no tracked task is
-// still running.
+// backoff (typed ErrCrashLooping), and keeps the queue of self-healing
+// work (template regeneration, image rebuilds) that Defer schedules:
+// Poll runs the queued tasks on the calling goroutine right after the
+// due probes, and Close runs whatever is still queued. After Close returns,
+// no probe fires and no task runs.
 package supervise
 
 import (
@@ -155,10 +155,16 @@ type fnHealth struct {
 	parks       int // consecutive park count, drives the backoff exponent
 }
 
+// task is one unit of deferred self-healing work, deduplicated by key.
+type task struct {
+	key string
+	fn  func()
+}
+
 // Supervisor runs liveness probes on a virtual-time cadence, tracks
-// per-function crash loops, and owns the tracked background goroutines
-// the platform's self-healing paths (template regeneration, pool
-// refills) run on. Safe for concurrent use.
+// per-function crash loops, and queues the platform's self-healing work
+// (template regeneration, image rebuilds) for the next Poll. Safe for
+// concurrent use.
 type Supervisor struct {
 	now func() simtime.Duration
 	cfg Config
@@ -167,9 +173,10 @@ type Supervisor struct {
 	probes []*probeEntry
 	health map[string]*fnHealth
 	stats  Stats
+	queue  []task
 	closed bool
 
-	wg sync.WaitGroup // in-flight probes + tracked background tasks
+	polls sync.WaitGroup // in-flight Polls, which Close waits out
 }
 
 // New builds a supervisor reading virtual time through now. Zero config
@@ -213,10 +220,12 @@ func (s *Supervisor) RegisterEvery(name string, every simtime.Duration, fn func(
 }
 
 // Poll runs every probe group whose interval has elapsed on the virtual
-// clock. Probes run outside the supervisor's mutex (they take the
+// clock, then every queued task, all on the calling goroutine. Probes
+// and tasks run outside the supervisor's mutex (they take the
 // platform's machine lock); a group already running in another Poll is
-// skipped, and nothing runs after Close. The platform calls Poll at the
-// end of each recovered invocation, so probe work is charged off every
+// skipped, and nothing runs after Close. Tasks queued by this Poll's
+// probes run in this Poll. The platform calls Poll at the end of each
+// recovered invocation, so probe and task work is charged off every
 // request's measured latency.
 func (s *Supervisor) Poll() {
 	now := s.now()
@@ -232,8 +241,9 @@ func (s *Supervisor) Poll() {
 			due = append(due, p)
 		}
 	}
-	s.wg.Add(len(due))
+	s.polls.Add(1)
 	s.mu.Unlock()
+	defer s.polls.Done()
 
 	for _, p := range due {
 		checked, evicted := p.fn()
@@ -244,47 +254,49 @@ func (s *Supervisor) Poll() {
 		s.stats.TargetsProbed += checked
 		s.stats.WedgedEvicted += evicted
 		s.mu.Unlock()
-		s.wg.Done()
 	}
+	s.runQueued()
 }
 
-// Go runs fn as a tracked background task: Close waits for it. It
-// reports false (without running fn) once the supervisor is closed, so
-// self-healing work scheduled during shutdown is dropped, not leaked.
-func (s *Supervisor) Go(fn func()) bool {
+// Defer queues fn to run at the next Poll (or at Close), after every
+// task queued before it. A task whose key is already queued is not
+// queued again. Defer never runs fn itself, and it reports false
+// (dropping fn) once the supervisor is closed.
+func (s *Supervisor) Defer(key string, fn func()) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return false
 	}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.wg.Done()
-		fn()
-	}()
+	for _, t := range s.queue {
+		if t.key == key {
+			return true
+		}
+	}
+	s.queue = append(s.queue, task{key: key, fn: fn})
 	return true
 }
 
-// Wait blocks until currently in-flight probes and tracked background
-// tasks finish (tests; Close implies it).
-func (s *Supervisor) Wait() { s.wg.Wait() }
+// runQueued takes the whole queue and runs it in FIFO order.
+func (s *Supervisor) runQueued() {
+	s.mu.Lock()
+	q := s.queue
+	s.queue = nil
+	s.mu.Unlock()
+	for _, t := range q {
+		t.fn()
+	}
+}
 
-// Close stops the supervisor: no probe fires after Close returns, no
-// new tracked task starts, and every in-flight probe or task has
-// finished. Idempotent.
+// Close stops the supervisor: it refuses new tasks, runs the ones
+// still queued, and waits for any in-flight Poll, so no probe fires and
+// no task runs after Close returns. Idempotent.
 func (s *Supervisor) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	s.wg.Wait()
-}
-
-// Closed reports whether Close has been called.
-func (s *Supervisor) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
+	s.runQueued()
+	s.polls.Wait()
 }
 
 // Stats returns a snapshot of the supervisor's accounting. The

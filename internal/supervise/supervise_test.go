@@ -2,6 +2,7 @@ package supervise
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -105,26 +106,63 @@ func TestNoProbeAfterClose(t *testing.T) {
 	if runs != 1 {
 		t.Fatalf("probe fired after Close: runs = %d", runs)
 	}
-	if !s.Closed() {
-		t.Fatal("Closed() = false after Close")
-	}
 	s.Close() // idempotent
 }
 
-func TestGoTracksAndRefusesAfterClose(t *testing.T) {
+// TestDeferQueuesUntilPoll: Defer only queues; Poll runs the queue in
+// FIFO order, one task per key; Close runs what is still queued and
+// refuses everything after it.
+func TestDeferQueuesUntilPoll(t *testing.T) {
 	s, _ := newSup(Config{})
-	done := make(chan struct{})
+	var ran []string
+	record := func(name string) func() { return func() { ran = append(ran, name) } }
+
+	for _, k := range []string{"a", "b", "a", "c", "b"} {
+		if !s.Defer(k, record(k)) {
+			t.Fatalf("Defer(%q) refused before Close", k)
+		}
+	}
+	if len(ran) != 0 {
+		t.Fatalf("Defer ran tasks itself: %v", ran)
+	}
+	s.Poll()
+	if got := fmt.Sprint(ran); got != "[a b c]" {
+		t.Fatalf("Poll ran %s, want [a b c] (FIFO, deduplicated by key)", got)
+	}
+	// A key runs again once its earlier task has left the queue.
+	ran = nil
+	s.Defer("a", record("a"))
+	s.Poll()
+	if got := fmt.Sprint(ran); got != "[a]" {
+		t.Fatalf("re-queued key ran %s, want [a]", got)
+	}
+
+	ran = nil
+	s.Defer("d", record("d"))
+	s.Close()
+	if got := fmt.Sprint(ran); got != "[d]" {
+		t.Fatalf("Close ran %s, want the queued [d]", got)
+	}
+	if s.Defer("e", func() { t.Error("task ran after Close") }) {
+		t.Fatal("Defer accepted after Close")
+	}
+	s.Poll()
+	s.Close()
+}
+
+// TestProbeQueuedTaskRunsInSamePoll: a task a probe queues runs in the
+// Poll that ran the probe, not one Poll later.
+func TestProbeQueuedTaskRunsInSamePoll(t *testing.T) {
+	s, clk := newSup(Config{ProbeInterval: simtime.Millisecond})
 	ran := false
-	if !s.Go(func() { ran = true; close(done) }) {
-		t.Fatal("Go refused before Close")
-	}
-	<-done
-	s.Close() // waits for the task
+	s.Register("templates", func() (int, int) {
+		s.Defer("regen", func() { ran = true })
+		return 1, 1
+	})
+	clk.Advance(simtime.Millisecond)
+	s.Poll()
 	if !ran {
-		t.Fatal("tracked task did not run")
-	}
-	if s.Go(func() { t.Error("task ran after Close") }) {
-		t.Fatal("Go accepted after Close")
+		t.Fatal("task queued by a probe did not run in the same Poll")
 	}
 }
 

@@ -52,10 +52,11 @@ var (
 	// probe or an execution found it wedged); the supervisor reaped it.
 	ErrWedged = sandbox.ErrWedged
 	// ErrPoisoned: the instance inherited latently bad state from its
-	// sfork template. Correlated ErrPoisoned failures across one
-	// template's children raise the poisoning verdict: the template is
-	// quarantined and rebuilt asynchronously while fork boots degrade
-	// through the fallback chain.
+	// sfork template. Every child of a poisoned template surfaces it
+	// until correlated failures across the template's children raise
+	// the poisoning verdict: the template is quarantined, fork boots
+	// degrade through the fallback chain, and the rebuild runs at the
+	// machine's next supervision Poll.
 	ErrPoisoned = sandbox.ErrPoisoned
 	// ErrInvocationHung: the execution never returned and the watchdog
 	// killed the instance after its kill budget (WatchdogMultiple × the
