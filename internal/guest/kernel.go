@@ -244,14 +244,17 @@ type Checkpoint struct {
 	CriticalCount int
 	Seed          uint64
 
-	// The fixup of Records, done once by the first separated restore:
-	// the fixed-up copy of the region, shared read-only by every kernel
-	// restored from cp, the number of fixups applied, or the error that
-	// rejected the relation table.
-	fixupOnce sync.Once
-	fixed     *serial.Records
-	fixups    int
-	fixupErr  error
+	// The fixup and validation of Records, done once by the first
+	// separated restore: the fixed-up copy of the region, shared
+	// read-only by every kernel restored from cp, the number of fixups
+	// applied, or the error that rejected the relation table; then the
+	// region's kind counts, or the error that rejected a record.
+	fixupOnce   sync.Once
+	fixed       *serial.Records
+	fixups      int
+	fixupErr    error
+	kinds       [256]int
+	validateErr error
 }
 
 // Capture checkpoints the kernel in both formats (offline work: the cost
@@ -334,12 +337,12 @@ func restoredKernel(env *simenv.Env, cp *Checkpoint, kinds *[256]int, objs []ser
 // RestoreSeparated rebuilds a kernel's object graph with separated state
 // recovery (§3.2): map the record region, replay the relation table in
 // parallel, and establish critical non-I/O system state. The relation
-// table is replayed once per checkpoint; every restore maps the same
-// fixed-up region read-only and uses it as its object graph as it is,
-// charged as if it did the fixups itself. One validating pass per restore
-// bounds-checks the region and counts its kinds; no object is decoded.
-// The I/O connection table is attached by the caller per its reconnection
-// policy (§3.3).
+// table is replayed, and the fixed-up region bounds-checked and its kinds
+// counted, once per checkpoint; every restore maps the same region
+// read-only and uses it as its object graph as it is, charged as if it
+// did the fixups itself, and fails as the first did if a check rejected
+// it. No object is decoded. The I/O connection table is attached by the
+// caller per its reconnection policy (§3.3).
 func RestoreSeparated(env *simenv.Env, cp *Checkpoint) (*Kernel, error) {
 	// Stage 1: map the partially-deserialized objects.
 	regionKB := (len(cp.Records.Region) + 1023) / 1024
@@ -357,6 +360,7 @@ func RestoreSeparated(env *simenv.Env, cp *Checkpoint) (*Kernel, error) {
 		cp.fixups, cp.fixupErr = serial.FixupRecords(rec)
 		if cp.fixupErr == nil {
 			cp.fixed = rec
+			cp.validateErr = serial.ValidateRecords(rec, &cp.kinds)
 		}
 	})
 	if cp.fixupErr != nil {
@@ -368,9 +372,8 @@ func RestoreSeparated(env *simenv.Env, cp *Checkpoint) (*Kernel, error) {
 	// Critical non-I/O system state is established on the critical path.
 	env.ChargeN(env.Cost.CriticalObjectRecover, cp.CriticalCount)
 
-	var kinds [256]int
-	if err := serial.ValidateRecords(rec, &kinds); err != nil {
-		return nil, fmt.Errorf("guest: validate records: %w", err)
+	if cp.validateErr != nil {
+		return nil, fmt.Errorf("guest: validate records: %w", cp.validateErr)
 	}
-	return restoredKernel(env, cp, &kinds, nil, rec)
+	return restoredKernel(env, cp, &cp.kinds, nil, rec)
 }

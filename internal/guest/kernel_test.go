@@ -349,6 +349,45 @@ func TestRestoreSeparatedFixupErrorCached(t *testing.T) {
 	}
 }
 
+// A region the validating pass rejects fails every restore of the
+// checkpoint the same way, and every restore charges the same time: the
+// mapping, the fixups and the critical objects, as before the check.
+func TestRestoreSeparatedValidateErrorCached(t *testing.T) {
+	good, err := buildKernel(newEnv(), 500).Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := *good.Records
+	rec.Index = append(append([]uint64(nil), rec.Index...), uint64(len(rec.Region))+100)
+	bad := &Checkpoint{Records: &rec, CriticalCount: good.CriticalCount}
+	var first error
+	var charged simtime.Duration
+	for i := 0; i < 2; i++ {
+		env := newEnv()
+		_, err := RestoreSeparated(env, bad)
+		if err == nil {
+			t.Fatalf("restore %d of a bad checkpoint succeeded", i)
+		}
+		if i == 0 {
+			first, charged = err, env.Now()
+			continue
+		}
+		if err.Error() != first.Error() {
+			t.Fatalf("restore %d failed with %v, first with %v", i, err, first)
+		}
+		if env.Now() != charged {
+			t.Fatalf("restore %d charged %v, first charged %v", i, env.Now(), charged)
+		}
+	}
+	env := newEnv()
+	if _, err := RestoreSeparated(env, good); err != nil {
+		t.Fatal(err)
+	}
+	if env.Now() != charged {
+		t.Fatalf("a rejected restore charged %v, a good one %v", charged, env.Now())
+	}
+}
+
 // Only the first restore of a checkpoint copies its record region: every
 // later one allocates far less than the region, whatever its size.
 func TestRestoreSeparatedSharesRegionAllocs(t *testing.T) {
@@ -397,8 +436,10 @@ func TestRestoreRejectsUnknownKind(t *testing.T) {
 			"baseline":  RestoreBaseline,
 			"separated": RestoreSeparated,
 		} {
-			if _, err := restore(newEnv(), cp); err == nil {
-				t.Errorf("%s restore accepted an object of kind %d", name, kind)
+			for i := 0; i < 2; i++ {
+				if _, err := restore(newEnv(), cp); err == nil {
+					t.Errorf("%s restore %d accepted an object of kind %d", name, i, kind)
+				}
 			}
 		}
 	}
@@ -543,4 +584,25 @@ func mustDecode(b []byte) []serial.Object {
 		panic(err)
 	}
 	return objs
+}
+
+// BenchmarkRestoreSeparatedRepeat restores one SPECjbb-sized checkpoint
+// over and over: the path every warm and cold Catalyzer boot takes after
+// the checkpoint's first restore.
+func BenchmarkRestoreSeparatedRepeat(b *testing.B) {
+	cp, err := buildKernel(newEnv(), 37838-150).Capture()
+	if err != nil {
+		b.Fatal(err)
+	}
+	env := newEnv()
+	if _, err := RestoreSeparated(env, cp); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RestoreSeparated(env, cp); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

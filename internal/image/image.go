@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"catalyzer/internal/guest"
 	"catalyzer/internal/memory"
@@ -383,12 +382,15 @@ func Decode(data []byte) (*Image, error) {
 // the "base memory mapping" that sandboxes running the same function
 // share (§3.1). It implements memory.Backing; frames materialize on first
 // demand (page-cache fill) and are shared by every address space that
-// faults them.
+// faults them. The frame index is dense, one slot per section page
+// holding frame+1, so 0 means not resident; a Mapping is built once per
+// function per machine, so the slice is not a per-boot cost.
 type Mapping struct {
-	ft     *memory.FrameTable
-	mem    Memory
-	frames map[uint64]memory.FrameID
-	closed bool
+	ft       *memory.FrameTable
+	mem      Memory
+	frames   []memory.FrameID
+	resident int
+	closed   bool
 }
 
 // NewMapping establishes the mapping, charging the map-file cost once.
@@ -396,7 +398,7 @@ type Mapping struct {
 // (Share).
 func NewMapping(env *simenv.Env, ft *memory.FrameTable, mem Memory) *Mapping {
 	env.Charge(env.Cost.ImageMapRegion)
-	return &Mapping{ft: ft, mem: mem, frames: make(map[uint64]memory.FrameID)}
+	return &Mapping{ft: ft, mem: mem, frames: make([]memory.FrameID, mem.Pages)}
 }
 
 // Share charges the share-mapping cost for a warm boot inheriting this
@@ -411,17 +413,18 @@ func (m *Mapping) Frame(page uint64) (memory.FrameID, bool) {
 	if m.closed || page >= m.mem.Pages {
 		return 0, false
 	}
-	if f, ok := m.frames[page]; ok {
-		return f, true
+	if f := m.frames[page]; f != 0 {
+		return f - 1, true
 	}
 	f := m.ft.Allocate(m.mem.Token(page))
-	m.frames[page] = f
+	m.frames[page] = f + 1
+	m.resident++
 	return f, true
 }
 
 // ResidentPages returns how many image pages are materialized in host
 // memory.
-func (m *Mapping) ResidentPages() int { return len(m.frames) }
+func (m *Mapping) ResidentPages() int { return m.resident }
 
 // Pages returns the section's page count.
 func (m *Mapping) Pages() uint64 { return m.mem.Pages }
@@ -436,13 +439,10 @@ func (m *Mapping) Close() {
 		return
 	}
 	m.closed = true
-	pages := make([]uint64, 0, len(m.frames))
-	for p := range m.frames {
-		pages = append(pages, p)
+	for _, f := range m.frames {
+		if f != 0 {
+			m.ft.Unref(f - 1)
+		}
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	for _, p := range pages {
-		m.ft.Unref(m.frames[p])
-		delete(m.frames, p)
-	}
+	m.frames, m.resident = nil, 0
 }

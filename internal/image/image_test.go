@@ -3,6 +3,7 @@ package image
 import (
 	"encoding/binary"
 	"hash/crc64"
+	"math/rand/v2"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -232,6 +233,59 @@ func TestMappingCloseKeepsSandboxPages(t *testing.T) {
 	}
 	if _, ok := m.Frame(3); ok {
 		t.Fatal("closed mapping served a frame")
+	}
+}
+
+// Close releases the mapping's frames in page order whatever order they
+// were faulted in, so the FrameIDs the next allocations reuse are those a
+// page-ordered release gives; ResidentPages is exact throughout, and no
+// frame is served past the section or after Close.
+func TestMappingCloseReleasesInPageOrder(t *testing.T) {
+	const pages = 64
+	mem := Memory{Pages: pages, Seed: 5}
+	rng := rand.New(rand.NewPCG(1, 2))
+	order := rng.Perm(pages)[:40] // a shuffled, sparse set of pages
+
+	ft := memory.NewFrameTable()
+	m := NewMapping(newEnv(), ft, mem)
+	ft.Allocate(0) // a frame the mapping does not own, so IDs start past 0
+	for i, p := range order {
+		if _, ok := m.Frame(uint64(p)); !ok {
+			t.Fatalf("Frame(%d) missing", p)
+		}
+		if _, ok := m.Frame(uint64(p)); !ok || m.ResidentPages() != i+1 {
+			t.Fatalf("after %d faults: ResidentPages = %d, want %d", i+1, m.ResidentPages(), i+1)
+		}
+	}
+	if _, ok := m.Frame(pages); ok {
+		t.Fatal("a page past the section returned a frame")
+	}
+	m.Close()
+	if m.ResidentPages() != 0 {
+		t.Fatalf("ResidentPages after Close = %d, want 0", m.ResidentPages())
+	}
+	for _, p := range []uint64{uint64(order[0]), pages} {
+		if _, ok := m.Frame(p); ok {
+			t.Fatalf("closed mapping served page %d", p)
+		}
+	}
+
+	// The reference: the same faults, released in page order.
+	ref := memory.NewFrameTable()
+	ref.Allocate(0)
+	ids := make(map[int]memory.FrameID)
+	for _, p := range order {
+		ids[p] = ref.Allocate(mem.Token(uint64(p)))
+	}
+	for p := 0; p < pages; p++ {
+		if id, ok := ids[p]; ok {
+			ref.Unref(id)
+		}
+	}
+	for i := range order {
+		if got, want := ft.Allocate(0), ref.Allocate(0); got != want {
+			t.Fatalf("allocation %d after Close got frame %d, page-ordered release gives %d", i, got, want)
+		}
 	}
 }
 

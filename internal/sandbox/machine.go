@@ -37,6 +37,10 @@ type Machine struct {
 
 	// capacityPages bounds host physical memory; zero means unlimited.
 	capacityPages int
+
+	// configLen is the length of each function configuration document
+	// ParseConfig has generated and parsed (see configKey).
+	configLen map[configKey]int
 }
 
 // ErrOutOfMemory is returned when a boot's admission estimate does not
@@ -52,10 +56,11 @@ func NewMachine(cost *costmodel.Model) *Machine {
 	kvm := host.NewKVM(env)
 	kvm.PML = false
 	return &Machine{
-		Env:     env,
-		Frames:  memory.NewFrameTable(),
-		KVM:     kvm,
-		nextPID: 1000,
+		Env:       env,
+		Frames:    memory.NewFrameTable(),
+		KVM:       kvm,
+		nextPID:   1000,
+		configLen: make(map[configKey]int),
 	}
 }
 

@@ -49,17 +49,44 @@ const (
 // ParseConfig performs the gateway's configuration step: the function's
 // OCI-style document (written at deploy time) is parsed and validated,
 // and the parse cost is charged per real document kilobyte (Figure 2's
-// "Parse Configuration").
+// "Parse Configuration"). A machine generates and parses each distinct
+// document once and remembers its length, so later boots of the function
+// pay only the charge; a document that fails is not remembered, so every
+// boot of it fails.
 func ParseConfig(m *Machine, spec *workload.Spec) error {
-	_, data, err := oci.Generate(spec)
-	if err != nil {
-		return fmt.Errorf("sandbox: config for %s: %w", spec.Name, err)
+	key := configKeyOf(spec)
+	n, ok := m.configLen[key]
+	if !ok {
+		_, data, err := generateConfig(spec)
+		if err != nil {
+			return fmt.Errorf("sandbox: config for %s: %w", spec.Name, err)
+		}
+		if _, err := oci.Parse(data); err != nil {
+			return fmt.Errorf("sandbox: config for %s: %w", spec.Name, err)
+		}
+		n = len(data)
+		m.configLen[key] = n
 	}
-	if _, err := oci.Parse(data); err != nil {
-		return fmt.Errorf("sandbox: config for %s: %w", spec.Name, err)
-	}
-	m.Env.ChargeN(m.Env.Cost.ConfigParsePerKB, (len(data)+1023)/1024)
+	m.Env.ChargeN(m.Env.Cost.ConfigParsePerKB, (n+1023)/1024)
 	return nil
+}
+
+// generateConfig is oci.Generate; tests replace it to make a document
+// fail.
+var generateConfig = oci.Generate
+
+// configKey is every workload.Spec field oci.Generate reads, so two specs
+// with equal keys have the same document. It is a value, not the spec
+// pointer: boot paths get a fresh copy of the spec from the registry.
+type configKey struct {
+	name       string
+	language   workload.Language
+	rootMounts int
+	configKB   int
+}
+
+func configKeyOf(spec *workload.Spec) configKey {
+	return configKey{spec.Name, spec.Language, spec.RootMounts, spec.ConfigKB}
 }
 
 // MemSeed derives the deterministic heap-content seed of a function, so a

@@ -15,9 +15,10 @@
 //     is a map plus an embarrassingly parallel fixup pass over the
 //     relation table.
 //
-// A separated-state restore decodes no object: after FixupRecords, one
-// ValidateRecords pass checks every record and counts kinds, and the
-// fixed-up region is the restored kernel's object graph. DecodeRecords
+// A separated-state restore decodes no object: FixupRecords and then one
+// ValidateRecords pass, which checks every record and counts kinds, run
+// once per checkpoint, and the fixed-up region is the object graph of
+// every kernel restored from it. DecodeRecords
 // turns a region into objects only when a reader walks the whole graph
 // or a mutation needs a slice to append to.
 //
