@@ -46,16 +46,20 @@ examples:
 		{ $(GO) run ./$$d || echo "exit status $$?"; } | diff -u testdata/examples/$$n.txt - || exit 1; \
 	done
 
-# Seed corpora for every fuzz target, then a short randomized budget.
+# Seed corpora for every fuzz target, then a short randomized budget per
+# target (CI runs it with FUZZTIME=30s).
+FUZZTIME ?= 5s
+
 fuzz-smoke:
-	$(GO) test -run Fuzz ./internal/serial/ ./internal/vfs/ ./internal/image/ ./internal/memory/
-	$(GO) test -fuzz FuzzDecodeBaseline -fuzztime 5s ./internal/serial/
-	$(GO) test -fuzz FuzzDecodeRecords -fuzztime 5s ./internal/serial/
-	$(GO) test -fuzz FuzzDecodeMounts -fuzztime 5s ./internal/vfs/
-	$(GO) test -fuzz FuzzDecode -fuzztime 5s ./internal/image/
-	$(GO) test -fuzz FuzzJournal -fuzztime 5s ./internal/image/
-	$(GO) test -fuzz FuzzManifest -fuzztime 5s ./internal/image/
-	$(GO) test -fuzz FuzzAddressSpaceModel -fuzztime 5s ./internal/memory/
+	$(GO) test -run Fuzz ./internal/serial/ ./internal/vfs/ ./internal/image/ ./internal/memory/ ./internal/oci/
+	$(GO) test -fuzz FuzzDecodeBaseline -fuzztime $(FUZZTIME) ./internal/serial/
+	$(GO) test -fuzz FuzzDecodeRecords -fuzztime $(FUZZTIME) ./internal/serial/
+	$(GO) test -fuzz FuzzDecodeMounts -fuzztime $(FUZZTIME) ./internal/vfs/
+	$(GO) test -fuzz 'FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/image/
+	$(GO) test -fuzz FuzzJournal -fuzztime $(FUZZTIME) ./internal/image/
+	$(GO) test -fuzz FuzzManifest -fuzztime $(FUZZTIME) ./internal/image/
+	$(GO) test -fuzz FuzzAddressSpaceModel -fuzztime $(FUZZTIME) ./internal/memory/
+	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/oci/
 
 # Concurrency hardening: the overload/stress/keep-warm suites twice each
 # under the race detector.

@@ -10,6 +10,7 @@ package guest
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"catalyzer/internal/serial"
@@ -97,13 +98,29 @@ func (k *Kernel) rng() uint64 {
 // per-object construction cost. Payload sizes and reference fan-out are
 // deterministic functions of the kernel seed, tuned so the serialized
 // record averages ~18 bytes (Table 3).
+//
+// A call allocates per call, not per object: the n objects' payloads are
+// carved from one byte arena and their references from one ObjectID
+// arena, each sub-slice capped at its length so an append to one object
+// reallocates instead of writing into its neighbour, and the cost is
+// charged once as n × GuestKernelObjectInit. The RNG is drawn per object
+// in a fixed order (payload, then per reference its target and its nil
+// draw), so a seed always yields the same graph.
 func (k *Kernel) CreateObjects(kind uint8, n int) {
 	k.materialize()
+	if n <= 0 {
+		return
+	}
+	k.env.ChargeN(k.env.Cost.GuestKernelObjectInit, n)
+	payloads := make([]byte, 8*n)
+	refs := make([]serial.ObjectID, 2*n)
+	k.objects = slices.Grow(k.objects, n)
 	for i := 0; i < n; i++ {
-		k.env.Charge(k.env.Cost.GuestKernelObjectInit)
 		id := serial.ObjectID(len(k.objects))
 		r := k.rng()
-		payload := make([]byte, 4+int(r%5)) // 4-8 bytes
+		plen := 4 + int(r%5) // 4-8 bytes
+		payload := payloads[:plen:plen]
+		payloads = payloads[plen:]
 		binary.LittleEndian.PutUint32(payload, uint32(r))
 		obj := serial.Object{ID: id, Kind: kind, Payload: payload}
 		// ~75% of objects hold one back-reference, ~25% two, roots none.
@@ -112,17 +129,19 @@ func (k *Kernel) CreateObjects(kind uint8, n int) {
 			if r%4 == 0 {
 				nrefs = 2
 			}
-			for j := 0; j < nrefs; j++ {
+			obj.Refs = refs[:nrefs:nrefs]
+			refs = refs[nrefs:]
+			for j := range obj.Refs {
 				target := serial.ObjectID(k.rng() % uint64(id))
 				if k.rng()%8 == 0 {
 					target = serial.NilRef
 				}
-				obj.Refs = append(obj.Refs, target)
+				obj.Refs[j] = target
 			}
 		}
 		k.objects = append(k.objects, obj)
-		k.byKind[kind]++
 	}
+	k.byKind[kind] += n
 }
 
 // ObjectCount returns the total number of kernel objects.

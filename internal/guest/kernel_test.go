@@ -606,3 +606,82 @@ func BenchmarkRestoreSeparatedRepeat(b *testing.B) {
 		}
 	}
 }
+
+// TestCreateObjectsPinned pins the graph, kind counts and virtual-time
+// charge a fixed seed yields over a mix of CreateObjects calls, so a
+// change to how objects are built cannot move the RNG order, the object
+// graph (and with it every image byte) or the clock.
+func TestCreateObjectsPinned(t *testing.T) {
+	env := newEnv()
+	k := NewKernel(env, 0x5eed, 300)
+	if got := env.Now(); got != 150*simtime.Microsecond {
+		t.Fatalf("NewKernel charged %v, want 150µs", got)
+	}
+	start := env.Now()
+	k.CreateObjects(KindThread, 7)
+	k.CreateObjects(KindTimer, 1)
+	k.CreateObjects(KindFD, 0)
+	k.CreateObjects(KindFD, 513)
+	k.CreateObjects(KindSession, 3)
+	k.CreateObjects(KindMisc, 2048)
+	if got, want := k.Signature(), uint64(0x30a30a15be6bbe0f); got != want {
+		t.Fatalf("Signature = %#x, want %#x", got, want)
+	}
+	if got := k.ObjectCount(); got != 2872 {
+		t.Fatalf("ObjectCount = %d, want 2872", got)
+	}
+	if got := env.Now() - start; got != 1286*simtime.Microsecond {
+		t.Fatalf("CreateObjects charged %v, want 1.286ms", got)
+	}
+	want := map[uint8]int{0: 0, KindTask: 1, KindThread: 11, KindTimer: 1, KindMount: 0,
+		KindSession: 4, KindFD: 513, KindMisc: 2342, KindMisc + 1: 0}
+	for kind, n := range want {
+		if got := k.KindCount(kind); got != n {
+			t.Errorf("KindCount(%d) = %d, want %d", kind, got, n)
+		}
+	}
+}
+
+// TestCreateObjectsArenaIsolation: objects of one call share payload and
+// reference arenas, so an append to one object must reallocate rather
+// than write into its neighbour's bytes.
+func TestCreateObjectsArenaIsolation(t *testing.T) {
+	k := NewKernel(newEnv(), 3, 10)
+	k.CreateObjects(KindFD, 64)
+	objs := k.Objects()
+	for i := 10; i+1 < len(objs); i++ {
+		a, b := &objs[i], &objs[i+1]
+		payload := append([]byte(nil), b.Payload...)
+		refs := append([]serial.ObjectID(nil), b.Refs...)
+		a.Payload = append(a.Payload, 0xAA, 0xBB, 0xCC)
+		a.Refs = append(a.Refs, 1, 2, 3)
+		if string(b.Payload) != string(payload) {
+			t.Fatalf("appending to object %d's payload changed object %d's: %x -> %x", i, i+1, payload, b.Payload)
+		}
+		if fmt.Sprint(b.Refs) != fmt.Sprint(refs) {
+			t.Fatalf("appending to object %d's refs changed object %d's: %v -> %v", i, i+1, refs, b.Refs)
+		}
+	}
+}
+
+// TestCreateObjectsAllocsConstant guards the arenas: a call allocates a
+// fixed handful of buffers however many objects it builds.
+func TestCreateObjectsAllocsConstant(t *testing.T) {
+	k := NewKernel(newEnv(), 9, 10)
+	allocs := testing.AllocsPerRun(20, func() {
+		k.objects = k.objects[:0:0]
+		k.CreateObjects(KindMisc, 1000)
+	})
+	if allocs > 4 {
+		t.Fatalf("CreateObjects(_, 1000) made %.0f allocations, want at most 4", allocs)
+	}
+}
+
+func BenchmarkCreateObjects(b *testing.B) {
+	k := NewKernel(newEnv(), 9, 10)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k.objects = k.objects[:0:0]
+		k.CreateObjects(KindMisc, 1000)
+	}
+}

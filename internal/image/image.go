@@ -102,7 +102,8 @@ const (
 // the CRC64 trailer Store.Save appends.
 const trailerBytes = 8
 
-// sectionWriter appends the image's fields to a buffer Encode presizes.
+// sectionWriter appends the image's fields to a buffer appendEncoded
+// presizes.
 type sectionWriter struct {
 	b []byte
 }
@@ -124,7 +125,12 @@ func (sw *sectionWriter) blob(b []byte) {
 // Encode serializes the image to its binary form. The result is written
 // into one buffer of exactly its length plus trailerBytes of spare
 // capacity, so appending the store's checksum trailer does not copy it.
-func (img *Image) Encode() ([]byte, error) {
+func (img *Image) Encode() ([]byte, error) { return img.appendEncoded(nil) }
+
+// appendEncoded appends the image's binary form to dst. It reuses dst's
+// backing array when that has room for the image and the trailer, and
+// otherwise copies dst into a new buffer of exactly that size.
+func (img *Image) appendEncoded(dst []byte) ([]byte, error) {
 	if err := img.Validate(); err != nil {
 		return nil, err
 	}
@@ -153,7 +159,10 @@ func (img *Image) Encode() ([]byte, error) {
 		n += len(p)
 	}
 
-	sw := &sectionWriter{b: make([]byte, 0, n+trailerBytes)}
+	if cap(dst)-len(dst) < n+trailerBytes {
+		dst = append(make([]byte, 0, len(dst)+n+trailerBytes), dst...)
+	}
+	sw := &sectionWriter{b: dst}
 	sw.u32(imageMagic)
 	sw.u32(imageVersion)
 	sw.str(img.Name)

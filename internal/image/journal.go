@@ -1,11 +1,13 @@
 package image
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // The store's write-ahead journal: an append-only sequence of checksummed
@@ -142,6 +144,28 @@ func decodeJournal(data []byte) (recs []journalRecord, cleanLen int, err error) 
 }
 
 // --- durable file helpers ----------------------------------------------------
+
+// readFileInto reads the whole file at path into buf's backing array,
+// growing it when the file does not fit, and returns the bytes read. It
+// reads to EOF, so a file that changes size after the stat is still read
+// whole. On error it returns what it read, so the caller can keep the
+// (possibly grown) buffer.
+func readFileInto(buf []byte, path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf[:0], err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return buf[:0], err
+	}
+	// MinRead spare bytes let the read that returns EOF land without a
+	// grow.
+	b := bytes.NewBuffer(slices.Grow(buf[:0], int(fi.Size())+bytes.MinRead))
+	_, err = b.ReadFrom(f)
+	return b.Bytes(), err
+}
 
 // writeFileSync writes data to path and fsyncs the file before closing,
 // so a rename that follows moves fully-durable bytes into place.

@@ -36,6 +36,15 @@ type Store struct {
 	entries     map[string]*entry
 	journalRecs int
 	stats       StoreStats
+
+	// buf is the scratch buffer Save encodes into and verifyFile reads
+	// generation files into, kept at its largest size so repeat saves
+	// and scrubs do not allocate an image-sized buffer each. Nothing may
+	// keep a slice of it past the call that filled it: Decode aliases its
+	// input, so only a caller that drops the decoded image (verifyFile)
+	// may decode from buf, and Load, whose image is returned, reads into
+	// a buffer of its own.
+	buf []byte
 }
 
 // entry is one image's in-memory generation state; it mirrors a
@@ -467,7 +476,8 @@ func (s *Store) verifyGen(name string, g *genRef) bool {
 // verifyFile checks one generation file's internal consistency (CRC64
 // trailer, decodability, name match) and returns its content checksum.
 func (s *Store) verifyFile(name string, g uint64) (uint64, bool) {
-	raw, err := os.ReadFile(s.genPath(name, g))
+	raw, err := readFileInto(s.buf, s.genPath(name, g))
+	s.buf = raw[:0]
 	if err != nil || len(raw) < 8 {
 		return 0, false
 	}
@@ -504,14 +514,13 @@ func (s *Store) Save(img *Image) error {
 	if err := validName(img.Name); err != nil {
 		return err
 	}
-	data, err := img.Encode()
+	data, err := img.appendEncoded(s.buf[:0])
 	if err != nil {
 		return err
 	}
-	var trailer [trailerBytes]byte
 	sum := crc64.Checksum(data, crcTable)
-	binary.LittleEndian.PutUint64(trailer[:], sum)
-	full := append(data, trailer[:]...)
+	full := binary.LittleEndian.AppendUint64(data, sum)
+	s.buf = full[:0]
 
 	e := s.entryFor(img.Name)
 	g := e.nextGen

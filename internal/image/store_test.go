@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -489,5 +490,169 @@ func TestStoreCompaction(t *testing.T) {
 	}
 	if _, err := s2.Load(img.Name); err != nil {
 		t.Fatalf("load after compaction+reopen: %v", err)
+	}
+}
+
+// readGen reads one generation file of name.
+func readGen(t *testing.T, s *Store, name string, g uint64) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(s.genPath(name, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// withTrailer returns data followed by its CRC64 trailer: the bytes a
+// generation file of data must hold.
+func withTrailer(data []byte) []byte {
+	return binary.LittleEndian.AppendUint64(append([]byte(nil), data...), crc64.Checksum(data, crcTable))
+}
+
+// TestStoreSaveReusesBufferSafely: Save encodes into a buffer the store
+// keeps, so saves of different sizes in a row must each write exactly
+// their own encoding and trailer, with no bytes left over from a larger
+// earlier save, and each must load back intact.
+func TestStoreSaveReusesBufferSafely(t *testing.T) {
+	s, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, small := buildImage(t, 3000, 64), buildImage(t, 50, 4)
+	for i, img := range []*Image{large, small, large} {
+		want, err := img.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Save(img); err != nil {
+			t.Fatal(err)
+		}
+		g := uint64(i + 1)
+		if got := readGen(t, s, img.Name, g); string(got) != string(withTrailer(want)) {
+			t.Fatalf("save %d: generation file holds %d bytes, want the %d-byte encoding plus trailer", i, len(got), len(want))
+		}
+		got, err := s.Load(img.Name)
+		if err != nil {
+			t.Fatalf("save %d: %v", i, err)
+		}
+		enc, err := got.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(enc) != string(want) {
+			t.Fatalf("save %d: loaded image re-encodes differently", i)
+		}
+	}
+}
+
+// TestStoreReopenVerifiesShrinkingGenerations: scrub reads every
+// generation into one reused buffer, so a generation smaller than the
+// one read before it must verify on its own bytes, a larger one after
+// it too, and a truncated file must still be quarantined.
+func TestStoreReopenVerifiesShrinkingGenerations(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Scrub verifies in name order, active before last-known-good, so
+	// its reads go small, large, small, large, small, then the truncated
+	// file.
+	for _, tc := range []struct {
+		name    string
+		objects []int
+	}{
+		{"a", []int{3000, 100}}, // active small, last-known-good large
+		{"b", []int{10}},
+		{"c", []int{100, 3000}},
+	} {
+		for _, n := range tc.objects {
+			img := buildImage(t, n, 4)
+			img.Name = tc.name
+			if err := s.Save(img); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tiny := buildImage(t, 10, 4)
+	tiny.Name = "tiny"
+	if err := s.Save(tiny); err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.ActivePath("tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := readGen(t, s, "tiny", 1)
+	if err := os.WriteFile(p, raw[:len(raw)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := r.QuarantinedFiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(q) != 1 || q[0] != "tiny@1"+quarantineExt {
+		t.Fatalf("quarantined files = %v, want only the truncated tiny@1", q)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := r.Load(name); err != nil {
+			t.Fatalf("Load(%s) after reopen: %v", name, err)
+		}
+	}
+	if r.LastKnownGood("a") != 1 || r.LastKnownGood("c") != 1 {
+		t.Fatalf("last-known-good lost: a=%d c=%d, want 1 and 1", r.LastKnownGood("a"), r.LastKnownGood("c"))
+	}
+	if _, err := r.Load("tiny"); err == nil {
+		t.Fatal("truncated generation loaded after reopen")
+	}
+}
+
+// TestStoreSaveAllocsBounded: a repeat Save of one image reuses the
+// store's encode buffer, so it allocates far less than the image's size
+// (file and journal bookkeeping only).
+func TestStoreSaveAllocsBounded(t *testing.T) {
+	s, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := buildImage(t, 3000, 64)
+	data, err := img.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(img); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	const runs = 10
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := s.Save(img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perSave := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(len(data)) / 8; perSave >= limit {
+		t.Fatalf("a repeat Save allocated %d bytes, want under %d (an eighth of the %d-byte image)", perSave, limit, len(data))
+	}
+}
+
+func BenchmarkStoreSaveRepeat(b *testing.B) {
+	s, err := NewStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	img := buildImage(b, 3000, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := s.Save(img); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // ObjectID identifies a guest-kernel object within one checkpoint. IDs are
@@ -78,22 +79,53 @@ const (
 
 // --- Baseline format -------------------------------------------------------
 
+// baselineEncoder is the scratch state of one EncodeBaseline call: the
+// raw record stream, the compressed output and the flate writer.
+type baselineEncoder struct {
+	raw bytes.Buffer
+	out bytes.Buffer
+	fw  *flate.Writer
+}
+
+// baselineEncoders recycles encoders across EncodeBaseline calls; a flate
+// writer alone carries several hundred KiB of tables.
+var baselineEncoders = sync.Pool{New: func() any {
+	e := &baselineEncoder{}
+	fw, err := flate.NewWriter(&e.out, flate.BestSpeed)
+	if err != nil {
+		panic(err) // unreachable: BestSpeed is a valid level
+	}
+	e.fw = fw
+	return e
+}}
+
 // EncodeBaseline serializes objects one-by-one and flate-compresses the
 // stream, like gVisor's checkpoint path.
+//
+// Its scratch buffers and flate writer come from a pool and are reset for
+// each call (flate's Reset is equivalent to a fresh NewWriter), so the
+// output is byte-identical to an unpooled encode. The result is a copy
+// of exactly its length, owned by the caller and sharing nothing with
+// the pool or with any other result.
 func EncodeBaseline(objs []Object) ([]byte, Stats, error) {
-	var raw bytes.Buffer
+	e := baselineEncoders.Get().(*baselineEncoder)
+	defer baselineEncoders.Put(e)
+	e.raw.Reset()
+	e.out.Reset()
+	e.fw.Reset(&e.out)
+
 	var hdr [16]byte
 	binary.LittleEndian.PutUint32(hdr[0:], baselineMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], formatVersion)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(objs)))
-	raw.Write(hdr[:])
+	e.raw.Write(hdr[:])
 
 	stats := Stats{Objects: len(objs)}
 	for i := range objs {
 		if objs[i].ID != ObjectID(i) {
 			return nil, Stats{}, fmt.Errorf("serial: object %d has non-dense ID %d", i, objs[i].ID)
 		}
-		if err := writeRecord(&raw, &objs[i], false); err != nil {
+		if err := writeRecord(&e.raw, &objs[i], false); err != nil {
 			return nil, Stats{}, err
 		}
 		for _, r := range objs[i].Refs {
@@ -103,19 +135,16 @@ func EncodeBaseline(objs []Object) ([]byte, Stats, error) {
 		}
 	}
 
-	var out bytes.Buffer
-	fw, err := flate.NewWriter(&out, flate.BestSpeed)
-	if err != nil {
+	if _, err := e.fw.Write(e.raw.Bytes()); err != nil {
 		return nil, Stats{}, err
 	}
-	if _, err := fw.Write(raw.Bytes()); err != nil {
+	if err := e.fw.Close(); err != nil {
 		return nil, Stats{}, err
 	}
-	if err := fw.Close(); err != nil {
-		return nil, Stats{}, err
-	}
-	stats.Bytes = out.Len()
-	return out.Bytes(), stats, nil
+	stats.Bytes = e.out.Len()
+	data := make([]byte, e.out.Len())
+	copy(data, e.out.Bytes())
+	return data, stats, nil
 }
 
 // maxCheckpointBytes bounds the decompressed size of a baseline stream:

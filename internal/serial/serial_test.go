@@ -1,7 +1,12 @@
 package serial
 
 import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -326,5 +331,100 @@ func TestRelationCountProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceBaseline encodes objs with a fresh flate writer, as
+// EncodeBaseline did before it pooled its compressor.
+func referenceBaseline(t *testing.T, objs []Object) []byte {
+	t.Helper()
+	var raw bytes.Buffer
+	var hdr [16]byte
+	binary.LittleEndian.PutUint32(hdr[0:], baselineMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], formatVersion)
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(objs)))
+	raw.Write(hdr[:])
+	for i := range objs {
+		if err := writeRecord(&raw, &objs[i], false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out bytes.Buffer
+	fw, err := flate.NewWriter(&out, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write(raw.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestEncodeBaselinePooledMatchesFresh: the pooled compressor's output is
+// byte-identical to a fresh writer's over graphs encoded back to back,
+// each result is exactly its length, and mutating one result leaves the
+// next one untouched.
+func TestEncodeBaselinePooledMatchesFresh(t *testing.T) {
+	var prev []byte
+	for i, n := range []int{2000, 0, 1, 300, 5000, 40} {
+		objs := genGraph(n, int64(i+1))
+		want := referenceBaseline(t, objs)
+		got, stats, err := EncodeBaseline(objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("graph %d (%d objects): pooled encoding differs from a fresh writer's", i, n)
+		}
+		if cap(got) != len(got) || stats.Bytes != len(got) {
+			t.Fatalf("graph %d: len %d cap %d Bytes %d, want all equal", i, len(got), cap(got), stats.Bytes)
+		}
+		if prev != nil {
+			for j := range prev {
+				prev[j] ^= 0xFF
+			}
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("graph %d: mutating the previous result changed this one", i)
+		}
+		prev = got
+	}
+}
+
+// TestEncodeBaselineConcurrent: encoders drawn from the pool by
+// concurrent goroutines never share state (run under -race).
+func TestEncodeBaselineConcurrent(t *testing.T) {
+	graphs := make([][]Object, 4)
+	wants := make([][]byte, len(graphs))
+	for i := range graphs {
+		graphs[i] = genGraph(500+700*i, int64(10+i))
+		wants[i] = referenceBaseline(t, graphs[i])
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8*len(graphs))
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 3*len(graphs); r++ {
+				i := (w + r) % len(graphs)
+				got, _, err := EncodeBaseline(graphs[i])
+				if err == nil && !bytes.Equal(got, wants[i]) {
+					err = fmt.Errorf("worker %d: graph %d encoded differently", w, i)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
