@@ -126,7 +126,7 @@ bench-compare:
 bench-test:
 	cd bench && $(GO) test ./...
 
-ci: vet staticcheck lint race examples bench-test
+ci: vet staticcheck lint race examples chaos-supervision chaos-fleet chaos-gray chaos-zone chaos-restart chaos-fleet-big fuzz-smoke bench-test
 
 clean:
 	$(GO) clean ./...

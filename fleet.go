@@ -61,8 +61,11 @@ type Scenario = faults.Scenario
 func NewScenario() *Scenario { return faults.NewScenario() }
 
 // FleetConfig sizes a fleet. Zero values take defaults (replication 2,
-// 16 virtual ring nodes per machine, bounded-load factor 1.25, probe
-// cadence 100ms, 2 misses to mark down).
+// one zone, repair budget 4, score warm-up 8, ejection sample floor 8,
+// retry/hedge budget 0.1 per invocation with a burst of 32). The rest
+// of the fleet's tuning is fixed: 16 ring points per machine,
+// bounded-load factor 1.25, probe cadence 100ms, 2 misses to mark a
+// member down (see DESIGN.md §13 and §14).
 type FleetConfig struct {
 	// Machines is the fleet size N (required, ≥ 1).
 	Machines int
@@ -80,66 +83,22 @@ type FleetConfig struct {
 	// losses: a mass outage's repair plan drains through a
 	// deterministic queue in batches of at most this many (default 4).
 	RepairBudget int
-	// LoadFactor is the bounded-load factor: a machine over this multiple
-	// of its fair share of live instances spills placements clockwise.
-	LoadFactor float64
-	// VirtualNodes is the number of consistent-hash ring points per
-	// machine.
-	VirtualNodes int
-	// ProbeInterval is the virtual-time membership probe cadence.
-	ProbeInterval Duration
-	// ProbeMisses is the number of consecutive partition misses that
-	// mark a member down.
-	ProbeMisses int
-	// FailoverBackoff is the virtual-time backoff charged before each
-	// replayed invocation (doubling per consecutive failover, saturating
-	// at MaxAttemptTimeout; superseded by the adaptive timeout once
-	// machine scores are warm).
-	FailoverBackoff Duration
 
 	// Gray-failure defense knobs (zero values take the defaults; the
 	// layer runs out of the box — see DESIGN.md §14).
 
-	// ScoreAlpha is the EWMA weight of each new latency sample in a
-	// machine's score (default 0.3).
-	ScoreAlpha float64
-	// TimeoutFactor scales the healthy median score into the adaptive
-	// per-attempt timeout (default 4), clamped to
-	// [MinAttemptTimeout, MaxAttemptTimeout] (defaults 1ms / 250ms).
-	TimeoutFactor     float64
-	MinAttemptTimeout Duration
-	MaxAttemptTimeout Duration
-	// HedgeFactor scales the healthy median score into the hedge delay
-	// (default 2), floored at MinHedgeDelay (default 500µs): a primary
-	// attempt running longer races a hedged second attempt.
-	HedgeFactor   float64
-	MinHedgeDelay Duration
 	// ScoreWarmup is the fleet-wide scored-dispatch count below which
 	// the adaptive machinery stays disengaged (default 8).
 	ScoreWarmup int
+	// MinEjectSamples is the per-machine sample floor before ejection
+	// eligibility (default 8).
+	MinEjectSamples int
 	// BudgetRatio is the retry/hedge tokens earned per admitted
 	// invocation and BudgetBurst caps the bucket (defaults 0.1 / 32), so
 	// retries and hedges are bounded to ~BudgetRatio of traffic plus the
 	// burst.
 	BudgetRatio float64
 	BudgetBurst int
-	// EjectFactor is the outlier-ejection threshold as a multiple of the
-	// healthy median score (default 4); ReadmitFactor the re-admission
-	// hysteresis band (default 1.5).
-	EjectFactor   float64
-	ReadmitFactor float64
-	// MaxEjectFraction bounds the soft-ejected share of the Up fleet
-	// (default 1/3); past it outliers stay in rotation and the fleet
-	// degrades to brownout instead of collapsing.
-	MaxEjectFraction float64
-	// MinEjectSamples is the per-machine sample floor before ejection
-	// eligibility (default 8); ReadmitProbes the consecutive clean
-	// recovery probes that re-admit an ejected member (default 2).
-	MinEjectSamples int
-	ReadmitProbes   int
-	// EjectProbeInterval is the recovery-probe cadence for ejected
-	// members (default: ProbeInterval).
-	EjectProbeInterval Duration
 
 	// StoreDir, when set, gives every machine its own crash-consistent
 	// func-image store in a per-machine subdirectory StoreDir/m0 …
@@ -180,6 +139,21 @@ type Fleet struct {
 	lastRecovery *FleetRecovery
 }
 
+// fleetConfig is the control-plane tuning cfg selects: every field but
+// StoreDir, which NewFleet's machine factory reads itself.
+func (cfg FleetConfig) fleetConfig() fleet.Config {
+	return fleet.Config{
+		Machines:        cfg.Machines,
+		Replication:     cfg.Replication,
+		Zones:           cfg.Zones,
+		RepairBudget:    cfg.RepairBudget,
+		ScoreWarmup:     cfg.ScoreWarmup,
+		MinEjectSamples: cfg.MinEjectSamples,
+		BudgetRatio:     cfg.BudgetRatio,
+		BudgetBurst:     cfg.BudgetBurst,
+	}
+}
+
 // NewFleet builds a fleet of cfg.Machines machines; FleetConfig{Machines:
 // 1} is a single host. Options set admission (WithAdmission) at the
 // fleet's front door, and per machine the cost model, zygote pool,
@@ -198,32 +172,7 @@ func NewFleet(cfg FleetConfig, opts ...Option) (*Fleet, error) {
 		machines: make([]*platform.Platform, max(cfg.Machines, 0)),
 	}
 	pcfg := platformConfig(c)
-	fcfg := fleet.Config{
-		Machines:           cfg.Machines,
-		Replication:        cfg.Replication,
-		Zones:              cfg.Zones,
-		RepairBudget:       cfg.RepairBudget,
-		LoadFactor:         cfg.LoadFactor,
-		VirtualNodes:       cfg.VirtualNodes,
-		ProbeInterval:      cfg.ProbeInterval,
-		ProbeMisses:        cfg.ProbeMisses,
-		FailoverBackoff:    cfg.FailoverBackoff,
-		ScoreAlpha:         cfg.ScoreAlpha,
-		TimeoutFactor:      cfg.TimeoutFactor,
-		MinAttemptTimeout:  cfg.MinAttemptTimeout,
-		MaxAttemptTimeout:  cfg.MaxAttemptTimeout,
-		HedgeFactor:        cfg.HedgeFactor,
-		MinHedgeDelay:      cfg.MinHedgeDelay,
-		ScoreWarmup:        cfg.ScoreWarmup,
-		BudgetRatio:        cfg.BudgetRatio,
-		BudgetBurst:        cfg.BudgetBurst,
-		EjectFactor:        cfg.EjectFactor,
-		ReadmitFactor:      cfg.ReadmitFactor,
-		MaxEjectFraction:   cfg.MaxEjectFraction,
-		MinEjectSamples:    cfg.MinEjectSamples,
-		ReadmitProbes:      cfg.ReadmitProbes,
-		EjectProbeInterval: cfg.EjectProbeInterval,
-	}
+	fcfg := cfg.fleetConfig()
 	if c.faultSeed != nil {
 		fcfg.Seed = *c.faultSeed
 	}

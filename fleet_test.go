@@ -320,3 +320,38 @@ func TestFleetSetRecoveryConfigCoversRebuiltMachines(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetConfigForwardsEveryField sets every FleetConfig field but
+// StoreDir to its own non-zero value and checks the same-named
+// fleet.Config field receives it, so a field that is declared but
+// never copied (or copied into a neighbour) fails here.
+func TestFleetConfigForwardsEveryField(t *testing.T) {
+	var cfg FleetConfig
+	in := reflect.ValueOf(&cfg).Elem()
+	for i := 0; i < in.NumField(); i++ {
+		f := in.Field(i)
+		switch name := in.Type().Field(i).Name; {
+		case name == "StoreDir":
+		case f.CanInt():
+			f.SetInt(int64(i + 1))
+		case f.CanFloat():
+			f.SetFloat(float64(i) + 0.5)
+		default:
+			t.Fatalf("FleetConfig.%s: unhandled kind %s", name, f.Kind())
+		}
+	}
+	out := reflect.ValueOf(cfg.fleetConfig())
+	for i := 0; i < in.NumField(); i++ {
+		name := in.Type().Field(i).Name
+		if name == "StoreDir" {
+			continue
+		}
+		got := out.FieldByName(name)
+		if !got.IsValid() {
+			t.Fatalf("fleet.Config has no field %s", name)
+		}
+		if want := in.Field(i).Interface(); got.Interface() != want {
+			t.Errorf("fleet.Config.%s = %v, want %v", name, got.Interface(), want)
+		}
+	}
+}

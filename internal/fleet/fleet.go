@@ -92,6 +92,50 @@ func (s State) String() string {
 	return "down"
 }
 
+// Fixed fleet tuning (DESIGN.md §13 and §14); every fleet runs with
+// these values.
+const (
+	// virtualNodes is the number of ring points per machine.
+	virtualNodes = 16
+	// probeMisses is the number of consecutive failed probes or
+	// dispatches that mark a partitioned member down. Membership is
+	// probed at the supervise default cadence (100ms).
+	probeMisses = 2
+	// pullPageCost is the virtual transfer cost per image page when a
+	// remote fork pulls a func-image from a replica peer;
+	// templateForkPageCost is the cheaper per-page cost when it sources
+	// a peer's live template.
+	pullPageCost         = simtime.Microsecond
+	templateForkPageCost = 250 * simtime.Nanosecond
+	// slowPenalty is the virtual latency charged to a machine when the
+	// machine-slow site fires at dispatch.
+	slowPenalty = 5 * simtime.Millisecond
+
+	// scoreAlpha is the EWMA weight of each new latency sample in a
+	// machine's score.
+	scoreAlpha = 0.3
+	// timeoutFactor scales the healthy median score into the adaptive
+	// per-attempt timeout; maxAttemptTimeout caps it (raised to
+	// MinAttemptTimeout when that is larger, see attemptCeiling) and
+	// saturates the cold-start doubling backoff.
+	timeoutFactor     = 4
+	maxAttemptTimeout = 250 * simtime.Millisecond
+	// hedgeFactor scales the healthy median score into the hedge delay:
+	// a primary attempt running longer than this races a second
+	// attempt. minHedgeDelay floors the hedge delay.
+	hedgeFactor   = 2
+	minHedgeDelay = 500 * simtime.Microsecond
+	// readmitFactor is the hysteresis band for score-based re-admission
+	// of an ejected member; readmitProbes is the consecutive clean
+	// recovery probes that re-admit it; probeCost is the virtual cost
+	// charged per recovery probe.
+	readmitFactor = 1.5
+	readmitProbes = 2
+	probeCost     = 200 * simtime.Microsecond
+	// lingerPenalty is the extra charge when a hedge loser lingers.
+	lingerPenalty = 5 * simtime.Millisecond
+)
+
 // Config tunes the fleet. Zero values select the defaults.
 type Config struct {
 	// Machines is the fleet size N (required, ≥ 1).
@@ -109,52 +153,21 @@ type Config struct {
 	// repair plan drains through a deterministic queue in batches of at
 	// most this many, excess counted in RepairsDeferred (default 4).
 	RepairBudget int
-	// VirtualNodes is the number of ring points per machine (default 16).
-	VirtualNodes int
 	// LoadFactor is the bounded-load factor c: a machine holding more
 	// than c times its fair share of live instances spills placements to
 	// the next ring machine (default 1.25; values ≤ 1 take the default).
 	LoadFactor float64
-	// ProbeInterval is the virtual-time membership probe cadence
-	// (default: the supervise probe default, 100ms).
-	ProbeInterval simtime.Duration
-	// ProbeMisses is the number of consecutive failed probes or
-	// dispatches that mark a partitioned member down (default 2).
-	ProbeMisses int
 	// FailoverBackoff is the virtual-time backoff charged before a
 	// replayed invocation, doubling per consecutive failover (default
 	// 200µs).
 	FailoverBackoff simtime.Duration
-	// PullPageCost is the virtual transfer cost per image page when a
-	// remote fork pulls a func-image from a replica peer (default 1µs).
-	PullPageCost simtime.Duration
-	// TemplateForkPageCost is the (cheaper) per-page cost when the
-	// remote fork sources a peer's live template (default 250ns).
-	TemplateForkPageCost simtime.Duration
-	// SlowPenalty is the virtual latency charged to a machine when the
-	// machine-slow site fires at dispatch (default 5ms).
-	SlowPenalty simtime.Duration
 
 	// The gray-failure defense knobs (see gray.go). Zero values select
 	// the defaults; the whole layer runs out of the box.
 
-	// ScoreAlpha is the EWMA weight of each new latency sample in a
-	// machine's score (default 0.3; must stay in (0, 1]).
-	ScoreAlpha float64
-	// TimeoutFactor scales the healthy median score into the adaptive
-	// per-attempt timeout (default 4).
-	TimeoutFactor float64
-	// MinAttemptTimeout / MaxAttemptTimeout clamp the adaptive timeout
-	// (defaults 1ms / 250ms). MaxAttemptTimeout also saturates the
-	// cold-start doubling backoff.
+	// MinAttemptTimeout floors the adaptive per-attempt timeout
+	// (default 1ms).
 	MinAttemptTimeout simtime.Duration
-	MaxAttemptTimeout simtime.Duration
-	// HedgeFactor scales the healthy median score into the hedge delay:
-	// a primary attempt running longer than this races a second attempt
-	// (default 2).
-	HedgeFactor float64
-	// MinHedgeDelay floors the hedge delay (default 500µs).
-	MinHedgeDelay simtime.Duration
 	// ScoreWarmup is the fleet-wide scored-dispatch count below which
 	// the adaptive machinery (timeouts, hedging) stays disengaged
 	// (default 8).
@@ -167,28 +180,20 @@ type Config struct {
 	BudgetBurst int
 	// EjectFactor is the outlier threshold: a member whose score
 	// exceeds EjectFactor × the healthy median is soft-ejected (default
-	// 4). ReadmitFactor is the hysteresis band for score-based
-	// re-admission (default 1.5).
-	EjectFactor   float64
-	ReadmitFactor float64
+	// 4).
+	EjectFactor float64
 	// MaxEjectFraction bounds the ejected share of the Up fleet
 	// (default 1/3); outliers past the bound are deferred, not ejected.
 	MaxEjectFraction float64
 	// MinEjectSamples is the per-machine sample floor before ejection
-	// eligibility (default 8). ReadmitProbes is the consecutive clean
-	// recovery probes that re-admit an ejected member (default 2).
+	// eligibility (default 8).
 	MinEjectSamples int
-	ReadmitProbes   int
 	// EjectProbeInterval is the recovery-probe cadence for ejected
-	// members (default: ProbeInterval). ProbeCost is the virtual cost
-	// charged per recovery probe (default 200µs).
+	// members (default: the membership probe cadence).
 	EjectProbeInterval simtime.Duration
-	ProbeCost          simtime.Duration
 	// GraySlowPenalty is the virtual latency charged when the
-	// machine-gray-slow site fires (default 20ms); LingerPenalty is the
-	// extra charge when a hedge loser lingers (default 5ms).
+	// machine-gray-slow site fires (default 20ms).
 	GraySlowPenalty simtime.Duration
-	LingerPenalty   simtime.Duration
 
 	// Seed seeds the fleet's fault injector, which is also installed on
 	// every member machine so one seed drives the whole schedule.
@@ -213,47 +218,14 @@ func (c Config) withDefaults() Config {
 	if c.RepairBudget <= 0 {
 		c.RepairBudget = 4
 	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 16
-	}
 	if c.LoadFactor <= 1 {
 		c.LoadFactor = 1.25
-	}
-	if c.ProbeMisses <= 0 {
-		c.ProbeMisses = 2
 	}
 	if c.FailoverBackoff <= 0 {
 		c.FailoverBackoff = 200 * simtime.Microsecond
 	}
-	if c.PullPageCost <= 0 {
-		c.PullPageCost = simtime.Microsecond
-	}
-	if c.TemplateForkPageCost <= 0 {
-		c.TemplateForkPageCost = 250 * simtime.Nanosecond
-	}
-	if c.SlowPenalty <= 0 {
-		c.SlowPenalty = 5 * simtime.Millisecond
-	}
-	if c.ScoreAlpha <= 0 || c.ScoreAlpha > 1 {
-		c.ScoreAlpha = 0.3
-	}
-	if c.TimeoutFactor <= 0 {
-		c.TimeoutFactor = 4
-	}
 	if c.MinAttemptTimeout <= 0 {
 		c.MinAttemptTimeout = simtime.Millisecond
-	}
-	if c.MaxAttemptTimeout <= 0 {
-		c.MaxAttemptTimeout = 250 * simtime.Millisecond
-	}
-	if c.MaxAttemptTimeout < c.MinAttemptTimeout {
-		c.MaxAttemptTimeout = c.MinAttemptTimeout
-	}
-	if c.HedgeFactor <= 0 {
-		c.HedgeFactor = 2
-	}
-	if c.MinHedgeDelay <= 0 {
-		c.MinHedgeDelay = 500 * simtime.Microsecond
 	}
 	if c.ScoreWarmup <= 0 {
 		c.ScoreWarmup = 8
@@ -267,30 +239,25 @@ func (c Config) withDefaults() Config {
 	if c.EjectFactor <= 0 {
 		c.EjectFactor = 4
 	}
-	if c.ReadmitFactor <= 0 {
-		c.ReadmitFactor = 1.5
-	}
 	if c.MaxEjectFraction <= 0 {
 		c.MaxEjectFraction = 1.0 / 3
 	}
 	if c.MinEjectSamples <= 0 {
 		c.MinEjectSamples = 8
 	}
-	if c.ReadmitProbes <= 0 {
-		c.ReadmitProbes = 2
-	}
 	// EjectProbeInterval ≤ 0 falls through to the supervisor's default
 	// cadence via RegisterEvery.
-	if c.ProbeCost <= 0 {
-		c.ProbeCost = 200 * simtime.Microsecond
-	}
 	if c.GraySlowPenalty <= 0 {
 		c.GraySlowPenalty = 20 * simtime.Millisecond
 	}
-	if c.LingerPenalty <= 0 {
-		c.LingerPenalty = 5 * simtime.Millisecond
-	}
 	return c
+}
+
+// attemptCeiling caps the adaptive timeout, the hedge delay and the
+// cold-start backoff: maxAttemptTimeout, raised to MinAttemptTimeout
+// when that is larger.
+func (c Config) attemptCeiling() simtime.Duration {
+	return max(maxAttemptTimeout, c.MinAttemptTimeout)
 }
 
 // Validate rejects nonsensical tunings.
@@ -307,24 +274,17 @@ func (c Config) Validate() error {
 	if c.RepairBudget < 0 {
 		return fmt.Errorf("%w: negative repair budget %d", ErrBadConfig, c.RepairBudget)
 	}
-	if c.ProbeInterval < 0 || c.FailoverBackoff < 0 || c.PullPageCost < 0 ||
-		c.TemplateForkPageCost < 0 || c.SlowPenalty < 0 ||
-		c.MinAttemptTimeout < 0 || c.MaxAttemptTimeout < 0 || c.MinHedgeDelay < 0 ||
-		c.EjectProbeInterval < 0 || c.ProbeCost < 0 ||
-		c.GraySlowPenalty < 0 || c.LingerPenalty < 0 {
+	if c.FailoverBackoff < 0 || c.MinAttemptTimeout < 0 ||
+		c.EjectProbeInterval < 0 || c.GraySlowPenalty < 0 {
 		return fmt.Errorf("%w: negative duration", ErrBadConfig)
 	}
-	if c.ScoreAlpha < 0 || c.ScoreAlpha > 1 {
-		return fmt.Errorf("%w: ScoreAlpha %v outside [0, 1]", ErrBadConfig, c.ScoreAlpha)
-	}
-	if c.TimeoutFactor < 0 || c.HedgeFactor < 0 || c.BudgetRatio < 0 ||
-		c.EjectFactor < 0 || c.ReadmitFactor < 0 {
+	if c.BudgetRatio < 0 || c.EjectFactor < 0 {
 		return fmt.Errorf("%w: negative gray-defense factor", ErrBadConfig)
 	}
 	if c.MaxEjectFraction < 0 || c.MaxEjectFraction > 1 {
 		return fmt.Errorf("%w: MaxEjectFraction %v outside [0, 1]", ErrBadConfig, c.MaxEjectFraction)
 	}
-	if c.BudgetBurst < 0 || c.MinEjectSamples < 0 || c.ReadmitProbes < 0 || c.ScoreWarmup < 0 {
+	if c.BudgetBurst < 0 || c.MinEjectSamples < 0 || c.ScoreWarmup < 0 {
 		return fmt.Errorf("%w: negative gray-defense count", ErrBadConfig)
 	}
 	return nil
@@ -573,7 +533,7 @@ func New(cfg Config, build func(idx int) (platform.Node, error)) (*Fleet, error)
 	f.stats.Served = make([]int, cfg.Machines)
 	f.tokens = float64(cfg.BudgetBurst)
 	f.lat = platform.NewMetrics("fleet-invoke")
-	f.sup = supervise.New(f.now, supervise.Config{ProbeInterval: cfg.ProbeInterval})
+	f.sup = supervise.New(f.now, supervise.Config{})
 	f.sup.Register("membership", f.probeMembership)
 	f.sup.RegisterEvery("ejection", cfg.EjectProbeInterval, f.probeEjected)
 	return f, nil
@@ -614,7 +574,7 @@ func (f *Fleet) rebuildRingLocked() {
 			up = append(up, m.idx)
 		}
 	}
-	f.ring = buildRing(up, f.cfg.VirtualNodes)
+	f.ring = buildRing(up, virtualNodes)
 }
 
 func (f *Fleet) upCountLocked() int {
@@ -650,7 +610,7 @@ func (f *Fleet) Deploy(ctx context.Context, name string) error {
 	defer f.sup.Poll()
 	f.tickScenario()
 	f.mu.Lock()
-	targets := f.selectReplicasLocked(name, f.cfg.Replication)
+	targets := f.fillReplicasLocked(name, nil, nil)
 	f.mu.Unlock()
 	if len(targets) == 0 {
 		if f.zoneDegraded(name) {
@@ -674,7 +634,7 @@ func (f *Fleet) Deploy(ctx context.Context, name string) error {
 	}
 	for _, idx := range targets[1:] {
 		rep := f.memberAt(idx)
-		rep.node.Charge(simtime.Duration(img.Mem.Pages) * f.cfg.PullPageCost)
+		rep.node.Charge(simtime.Duration(img.Mem.Pages) * pullPageCost)
 		if err := rep.node.ImportImage(img); err != nil {
 			return err
 		}
@@ -689,6 +649,10 @@ func (f *Fleet) Deploy(ctx context.Context, name string) error {
 func (f *Fleet) Functions() []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.functionsLocked()
+}
+
+func (f *Fleet) functionsLocked() []string {
 	out := make([]string, 0, len(f.deployments))
 	for name := range f.deployments {
 		out = append(out, name)
@@ -929,7 +893,7 @@ func (f *Fleet) dispatchFaults(m *member) error {
 		return fmt.Errorf("%w: machine %d: %w", ErrUnreachable, m.idx, ferr)
 	}
 	if ferr := f.inj.Check(faults.SiteMachineSlow); ferr != nil {
-		m.node.Charge(f.cfg.SlowPenalty)
+		m.node.Charge(slowPenalty)
 		f.mu.Lock()
 		f.stats.SlowDispatches++
 		f.mu.Unlock()
@@ -951,7 +915,7 @@ func (f *Fleet) dispatchFaults(m *member) error {
 	return nil
 }
 
-// noteMiss records one partition miss against m; ProbeMisses
+// noteMiss records one partition miss against m; probeMisses
 // consecutive misses mark it down (state intact).
 func (f *Fleet) noteMiss(m *member) {
 	f.mu.Lock()
@@ -960,7 +924,7 @@ func (f *Fleet) noteMiss(m *member) {
 		return
 	}
 	m.misses++
-	trip := m.misses >= f.cfg.ProbeMisses
+	trip := m.misses >= probeMisses
 	f.mu.Unlock()
 	if trip {
 		f.markDown(m, false)
@@ -1022,13 +986,8 @@ func (f *Fleet) markDownBatch(ms []*member, crashed bool) {
 // picked zone-aware (see pickReplicaLocked), so same-seed runs repair
 // identically.
 func (f *Fleet) planRepairsLocked(downIdxs []int) []repair {
-	names := make([]string, 0, len(f.deployments))
-	for name := range f.deployments {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var plan []repair
-	for _, name := range names {
+	for _, name := range f.functionsLocked() {
 		reps := f.deployments[name]
 		keep := make([]int, 0, len(reps))
 		for _, r := range reps {
@@ -1042,19 +1001,7 @@ func (f *Fleet) planRepairsLocked(downIdxs []int) []repair {
 		if len(keep) == 0 {
 			f.stats.ReplicasLost++
 		}
-		want := f.cfg.Replication
-		if up := f.upCountLocked(); want > up {
-			want = up
-		}
-		for len(keep) < want {
-			cand, ok := f.pickReplicaLocked(name, keep)
-			if !ok {
-				break
-			}
-			plan = append(plan, repair{fn: name, srcs: append([]int(nil), keep...), dst: cand})
-			keep = append(keep, cand)
-		}
-		f.deployments[name] = keep
+		f.deployments[name] = f.fillReplicasLocked(name, keep, &plan)
 	}
 	return plan
 }
@@ -1136,9 +1083,9 @@ func (f *Fleet) remoteFork(m *member, name string) error {
 	if err != nil {
 		return err
 	}
-	cost := f.cfg.PullPageCost
+	cost := pullPageCost
 	if fromTemplate {
-		cost = f.cfg.TemplateForkPageCost
+		cost = templateForkPageCost
 	}
 	m.node.Charge(simtime.Duration(img.Mem.Pages) * cost)
 	if err := m.node.ImportImage(img); err != nil {
@@ -1258,26 +1205,9 @@ func (f *Fleet) rejoin(m *member) {
 // distinct zones (mu held; sorted names so same-seed runs repair
 // identically).
 func (f *Fleet) planTopUpLocked() []repair {
-	want := f.cfg.Replication
-	if up := f.upCountLocked(); want > up {
-		want = up
-	}
-	names := make([]string, 0, len(f.deployments))
-	for name := range f.deployments {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var plan []repair
-	for _, name := range names {
-		keep := append([]int(nil), f.deployments[name]...)
-		for len(keep) < want {
-			cand, ok := f.pickReplicaLocked(name, keep)
-			if !ok {
-				break
-			}
-			plan = append(plan, repair{fn: name, srcs: append([]int(nil), keep...), dst: cand})
-			keep = append(keep, cand)
-		}
+	for _, name := range f.functionsLocked() {
+		keep := f.fillReplicasLocked(name, append([]int(nil), f.deployments[name]...), &plan)
 		if f.cfg.Zones > 1 {
 			keep = f.rebalanceZonesLocked(name, keep, &plan)
 		}

@@ -353,7 +353,7 @@ func TestRestartedMachineBuildsTemplate(t *testing.T) {
 }
 
 func TestPartitionMarksDownAndHeals(t *testing.T) {
-	f := newTestFleet(t, Config{Machines: 2, Replication: 2, ProbeMisses: 2})
+	f := newTestFleet(t, Config{Machines: 2, Replication: 2})
 	ctx := context.Background()
 	if err := f.Deploy(ctx, "c-hello"); err != nil {
 		t.Fatal(err)

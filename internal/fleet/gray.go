@@ -24,7 +24,7 @@
 //     median is soft-ejected — dropped from the placement ring but
 //     still Up, still holding its replicas, and probed by a dedicated
 //     recovery probe group that re-admits it after consecutive clean
-//     probes (or once its score decays back under ReadmitFactor ×
+//     probes (or once its score decays back under readmitFactor ×
 //     median). MaxEjectFraction bounds how much of the fleet can drain;
 //     past it the fleet serves browned-out from ejected members rather
 //     than collapsing, surfacing ErrBrownout only when nothing answers.
@@ -75,7 +75,7 @@ func (f *Fleet) feedScoreLocked(m *member, lat simtime.Duration) {
 	if m.samples == 0 {
 		m.score = float64(lat)
 	} else {
-		a := f.cfg.ScoreAlpha
+		a := scoreAlpha
 		m.score = (1-a)*m.score + a*float64(lat)
 	}
 	m.samples++
@@ -124,8 +124,8 @@ func (f *Fleet) attemptTimeout(attempt int) simtime.Duration {
 func (f *Fleet) attemptTimeoutLocked(attempt int) simtime.Duration {
 	if f.scoresWarmLocked() {
 		if med := f.healthyMedianLocked(-1); med > 0 {
-			return clampDur(simtime.Duration(f.cfg.TimeoutFactor*med),
-				f.cfg.MinAttemptTimeout, f.cfg.MaxAttemptTimeout)
+			return clampDur(simtime.Duration(timeoutFactor*med),
+				f.cfg.MinAttemptTimeout, f.cfg.attemptCeiling())
 		}
 	}
 	return f.backoffFor(attempt)
@@ -133,7 +133,7 @@ func (f *Fleet) attemptTimeoutLocked(attempt int) simtime.Duration {
 
 // backoffFor is the cold-start fallback when no scores exist yet: the
 // fixed failover backoff doubling per consecutive attempt, with the
-// shift capped and the product saturated at MaxAttemptTimeout so an
+// shift capped and the product saturated at the attempt ceiling so an
 // arbitrary replay count can never overflow into a negative or absurd
 // virtual-time charge.
 func (f *Fleet) backoffFor(attempt int) simtime.Duration {
@@ -144,8 +144,8 @@ func (f *Fleet) backoffFor(attempt int) simtime.Duration {
 	if shift > maxBackoffShift {
 		shift = maxBackoffShift
 	}
-	if f.cfg.FailoverBackoff > f.cfg.MaxAttemptTimeout>>shift {
-		return f.cfg.MaxAttemptTimeout
+	if f.cfg.FailoverBackoff > f.cfg.attemptCeiling()>>shift {
+		return f.cfg.attemptCeiling()
 	}
 	return f.cfg.FailoverBackoff << shift
 }
@@ -162,8 +162,8 @@ func (f *Fleet) hedgeDelayLocked() (simtime.Duration, bool) {
 	if med <= 0 {
 		return 0, false
 	}
-	return clampDur(simtime.Duration(f.cfg.HedgeFactor*med),
-		f.cfg.MinHedgeDelay, f.cfg.MaxAttemptTimeout), true
+	return clampDur(simtime.Duration(hedgeFactor*med),
+		minHedgeDelay, f.cfg.attemptCeiling()), true
 }
 
 // earnBudgetLocked accrues the retry/hedge allowance: each admitted
@@ -342,7 +342,7 @@ func (f *Fleet) maybeHedge(ctx context.Context, name string, sys platform.System
 		f.mu.Unlock()
 	}
 	if f.inj.CheckKeyed(faults.SiteHedgeLoserLingers, machineKey(loser.idx)) != nil {
-		loser.node.Charge(f.cfg.LingerPenalty)
+		loser.node.Charge(lingerPenalty)
 		f.mu.Lock()
 		f.stats.HedgeLosersLingered++
 		f.mu.Unlock()
@@ -355,8 +355,8 @@ func (f *Fleet) maybeHedge(ctx context.Context, name string, sys platform.System
 // the probe cost, drawing the member's keyed gray sites (a still-sick
 // machine keeps failing its probes), and feeding the measured latency
 // into the member's score. A member is re-admitted — ring rebuilt,
-// traffic flowing back — after ReadmitProbes consecutive clean probes,
-// or as soon as its decayed score drops under ReadmitFactor × the
+// traffic flowing back — after readmitProbes consecutive clean probes,
+// or as soon as its decayed score drops under readmitFactor × the
 // healthy median; its score is then reset to that median so a fresh
 // outlier verdict needs fresh evidence.
 func (f *Fleet) probeEjected() (checked, evicted int) {
@@ -371,7 +371,7 @@ func (f *Fleet) probeEjected() (checked, evicted int) {
 	for _, m := range targets {
 		checked++
 		start := m.node.Now()
-		m.node.Charge(f.cfg.ProbeCost)
+		m.node.Charge(probeCost)
 		if f.inj.CheckKeyed(faults.SiteMachineGraySlow, machineKey(m.idx)) != nil {
 			m.node.Charge(f.cfg.GraySlowPenalty)
 			f.mu.Lock()
@@ -387,13 +387,13 @@ func (f *Fleet) probeEjected() (checked, evicted int) {
 		}
 		f.stats.EjectionProbes++
 		f.feedScoreLocked(m, lat)
-		if !flaky && lat <= f.cfg.ProbeCost {
+		if !flaky && lat <= probeCost {
 			m.cleanProbes++
 		} else {
 			m.cleanProbes = 0
 		}
 		med := f.healthyMedianLocked(m.idx)
-		if m.cleanProbes >= f.cfg.ReadmitProbes || (med > 0 && m.score <= f.cfg.ReadmitFactor*med) {
+		if m.cleanProbes >= readmitProbes || (med > 0 && m.score <= readmitFactor*med) {
 			m.ejected = false
 			m.cleanProbes = 0
 			if med > 0 {

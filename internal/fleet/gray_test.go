@@ -21,8 +21,8 @@ func TestBackoffSaturates(t *testing.T) {
 		if got <= 0 {
 			t.Fatalf("backoffFor(%d) = %v, overflowed", attempt, got)
 		}
-		if got > f.cfg.MaxAttemptTimeout {
-			t.Fatalf("backoffFor(%d) = %v exceeds cap %v", attempt, got, f.cfg.MaxAttemptTimeout)
+		if got > maxAttemptTimeout {
+			t.Fatalf("backoffFor(%d) = %v exceeds cap %v", attempt, got, maxAttemptTimeout)
 		}
 	}
 
@@ -40,9 +40,9 @@ func TestBackoffSaturates(t *testing.T) {
 }
 
 // TestAdaptiveTimeoutTracksMedian: once scores are warm the
-// per-attempt timeout is TimeoutFactor × the healthy median, clamped.
+// per-attempt timeout is timeoutFactor × the healthy median, clamped.
 func TestAdaptiveTimeoutTracksMedian(t *testing.T) {
-	f := newTestFleet(t, Config{Machines: 3, ScoreWarmup: 3, TimeoutFactor: 4})
+	f := newTestFleet(t, Config{Machines: 3, ScoreWarmup: 3})
 
 	// Cold: no scores yet, legacy backoff applies.
 	if got := f.attemptTimeout(1); got != f.cfg.FailoverBackoff {

@@ -170,7 +170,7 @@ func (f *Fleet) Recover(ctx context.Context) (*RecoverReport, error) {
 				f.mu.Unlock()
 				continue
 			}
-			m.node.Charge(simtime.Duration(img.Mem.Pages) * f.cfg.PullPageCost)
+			m.node.Charge(simtime.Duration(img.Mem.Pages) * pullPageCost)
 			if err := m.node.ReplaceImage(img, divergent); err != nil {
 				f.mu.Lock()
 				f.stats.RecoverFailures++

@@ -176,7 +176,7 @@ func TestScenarioZoneDownAndHeal(t *testing.T) {
 }
 
 func TestScenarioSplitPartitionAccruesMisses(t *testing.T) {
-	f := newTestFleet(t, Config{Machines: 4, Zones: 2, Replication: 2, ProbeMisses: 2})
+	f := newTestFleet(t, Config{Machines: 4, Zones: 2, Replication: 2})
 	ctx := context.Background()
 	if err := f.Deploy(ctx, "c-hello"); err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestScenarioSplitPartitionAccruesMisses(t *testing.T) {
 	}
 	f.tickScenario()
 	// A split does not down machines instantly: misses accrue through
-	// probes until ProbeMisses trips each member of the split zone.
+	// probes until probeMisses trips each member of the split zone.
 	if st := f.Stats(); st.Down != 0 {
 		t.Fatalf("split downed machines instantly: %+v", st)
 	}

@@ -104,18 +104,22 @@ func (f *Fleet) pickReplicaLocked(name string, keep []int) (int, bool) {
 	return first, true
 }
 
-// selectReplicasLocked builds a replica set of up to want machines for
-// name, zone-spread per pickReplicaLocked (mu held).
-func (f *Fleet) selectReplicasLocked(name string, want int) []int {
-	var targets []int
-	for len(targets) < want {
-		c, ok := f.pickReplicaLocked(name, targets)
+// fillReplicasLocked tops keep up toward min(R, up) machines for name,
+// each pick zone-spread per pickReplicaLocked, and appends one image
+// ship per added machine to plan when plan is non-nil (mu held).
+func (f *Fleet) fillReplicasLocked(name string, keep []int, plan *[]repair) []int {
+	want := min(f.cfg.Replication, f.upCountLocked())
+	for len(keep) < want {
+		c, ok := f.pickReplicaLocked(name, keep)
 		if !ok {
 			break
 		}
-		targets = append(targets, c)
+		if plan != nil {
+			*plan = append(*plan, repair{fn: name, srcs: append([]int(nil), keep...), dst: c})
+		}
+		keep = append(keep, c)
 	}
-	return targets
+	return keep
 }
 
 // rebalanceZonesLocked migrates in-zone duplicate replicas of name onto
@@ -448,7 +452,7 @@ func (f *Fleet) executeBatch(batch []repair) (held []repair) {
 			if err != nil {
 				continue
 			}
-			dst.node.Charge(simtime.Duration(img.Mem.Pages) * f.cfg.PullPageCost)
+			dst.node.Charge(simtime.Duration(img.Mem.Pages) * pullPageCost)
 			if err := dst.node.ImportImage(img); err != nil {
 				continue
 			}

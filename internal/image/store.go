@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -383,7 +384,13 @@ func (s *Store) scrub() error {
 	// Pass 2: verify every referenced generation. A bad active rolls
 	// back to last-known-good; a bad last-known-good is dropped.
 	// Names are processed in sorted order so quarantine renames and
-	// scrub counters replay identically run to run.
+	// scrub counters replay identically run to run. A generation moved
+	// aside here leaves pass 3's listing, so it is counted once.
+	quarantine := func(name string, g uint64) {
+		s.quarantineGenFile(name, g)
+		s.stats.ScrubQuarantined++
+		disk[name] = slices.DeleteFunc(disk[name], func(n uint64) bool { return n == g })
+	}
 	entryNames := make([]string, 0, len(s.entries))
 	for name := range s.entries {
 		entryNames = append(entryNames, name)
@@ -393,22 +400,19 @@ func (s *Store) scrub() error {
 		e := s.entries[name]
 		if e.active != nil {
 			if !s.verifyGen(name, e.active) {
-				s.quarantineGenFile(name, e.active.n)
-				s.stats.ScrubQuarantined++
+				quarantine(name, e.active.n)
 				e.active = nil
 				if e.prev != nil {
 					if s.verifyGen(name, e.prev) {
 						e.active = e.prev
 						s.stats.ScrubRepaired++
 					} else {
-						s.quarantineGenFile(name, e.prev.n)
-						s.stats.ScrubQuarantined++
+						quarantine(name, e.prev.n)
 					}
 					e.prev = nil
 				}
 			} else if e.prev != nil && !s.verifyGen(name, e.prev) {
-				s.quarantineGenFile(name, e.prev.n)
-				s.stats.ScrubQuarantined++
+				quarantine(name, e.prev.n)
 				e.prev = nil
 			}
 		}

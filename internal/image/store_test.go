@@ -610,6 +610,54 @@ func TestStoreReopenVerifiesShrinkingGenerations(t *testing.T) {
 	if _, err := r.Load("tiny"); err == nil {
 		t.Fatal("truncated generation loaded after reopen")
 	}
+	if st := r.Stats(); st.ScrubQuarantined != 1 {
+		t.Fatalf("ScrubQuarantined = %d, want 1 for one truncated file", st.ScrubQuarantined)
+	}
+}
+
+// TestStoreReopenQuarantinesOnceWithLastKnownGood: a truncated active
+// generation with a good last-known-good rolls back on reopen, and the
+// one corrupt file is counted once, not again by the unreferenced-file
+// pass.
+func TestStoreReopenQuarantinesOnceWithLastKnownGood(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{100, 200} {
+		img := buildImage(t, n, 4)
+		img.Name = "fn"
+		if err := s.Save(img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := s.ActivePath("fn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := readGen(t, s, "fn", 2)
+	if err := os.WriteFile(p, raw[:len(raw)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := r.ActiveGen("fn"); g != 1 {
+		t.Fatalf("active generation after reopen = %d, want the last-known-good 1", g)
+	}
+	q, err := r.QuarantinedFiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(q) != 1 || q[0] != "fn@2"+quarantineExt {
+		t.Fatalf("quarantined files = %v, want only the truncated fn@2", q)
+	}
+	if st := r.Stats(); st.ScrubQuarantined != 1 || st.ScrubRepaired != 1 {
+		t.Fatalf("ScrubQuarantined = %d, ScrubRepaired = %d, want 1 and 1", st.ScrubQuarantined, st.ScrubRepaired)
+	}
 }
 
 // TestStoreSaveAllocsBounded: a repeat Save of one image reuses the
