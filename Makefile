@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short race vet lint staticcheck examples fuzz-smoke stress chaos chaos-supervision chaos-fleet chaos-gray chaos-zone chaos-restart chaos-fleet-big bench bench-compare bench-test ci clean
+.PHONY: build test short race vet lint staticcheck examples fuzz-smoke stress chaos chaos-supervision chaos-fleet chaos-gray chaos-zone chaos-restart chaos-fleet-big bench bench-compare bench-test bench-memory ci clean
 
 build:
 	$(GO) build ./...
@@ -126,7 +126,13 @@ bench-compare:
 bench-test:
 	cd bench && $(GO) test ./...
 
-ci: vet staticcheck lint race examples chaos-supervision chaos-fleet chaos-gray chaos-zone chaos-restart chaos-fleet-big fuzz-smoke bench-test
+# One iteration of every internal/memory benchmark, so they keep compiling
+# and running (BenchmarkForkTouchRelease is a SPECjbb-sized fork, touch and
+# release).
+bench-memory:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/memory/
+
+ci: vet staticcheck lint race examples chaos-supervision chaos-fleet chaos-gray chaos-zone chaos-restart chaos-fleet-big fuzz-smoke bench-test bench-memory
 
 clean:
 	$(GO) clean ./...

@@ -1361,8 +1361,8 @@ func (f *Fleet) Stats() Stats {
 		}
 	}
 	if f.lat.Count() > 0 {
-		out.InvokeP50 = f.lat.Percentile(50)
-		out.InvokeP99 = f.lat.Percentile(99)
+		p := f.lat.Percentiles(50, 99)
+		out.InvokeP50, out.InvokeP99 = p[0], p[1]
 		out.InvokeMax = f.lat.Max()
 	}
 	return out

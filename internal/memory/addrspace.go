@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"catalyzer/internal/simenv"
+	"catalyzer/internal/simtime"
 )
 
 // Backing supplies shared frames for file-backed mappings — in this
@@ -53,9 +54,9 @@ type Stats struct {
 // the ones its leaves hold (see FrameTable).
 //
 // An AddressSpace is not safe for concurrent use, and neither are its
-// read methods: Read, Translate and PSS update caches (the page tables'
-// leaf hints and the FrameTable's sharer counts). Callers must hold the
-// lock guarding the machine's FrameTable exclusively.
+// read methods: Read faults pages in, and PSS updates the FrameTable's
+// cached sharer counts. Callers must hold the lock guarding the machine's
+// FrameTable exclusively.
 type AddressSpace struct {
 	env     *simenv.Env
 	ft      *FrameTable
@@ -90,40 +91,24 @@ func (as *AddressSpace) Map(v VMA) error {
 }
 
 // VMAs returns the mapped areas in address order.
-func (as *AddressSpace) VMAs() []VMA {
-	out := make([]VMA, len(as.vmas))
-	copy(out, as.vmas)
-	return out
-}
-
-func (as *AddressSpace) vmaFor(page uint64) (VMA, bool) {
-	i := sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].End > page })
-	if i < len(as.vmas) && as.vmas[i].Start <= page {
-		return as.vmas[i], true
-	}
-	return VMA{}, false
-}
+func (as *AddressSpace) VMAs() []VMA { return slices.Clone(as.vmas) }
 
 // Translate performs the hardware EPT merge: the Private-EPT entry wins
 // if valid, otherwise the Base-EPT entry is used. The boolean reports
 // whether the page is currently mapped at all.
 func (as *AddressSpace) Translate(page uint64) (FrameID, bool) {
-	if f, ok := as.private.get(page); ok {
-		return f, true
-	}
-	return as.base.get(page)
+	w := as.walk()
+	_, f, _ := w.at(page)
+	return f, f != 0
 }
 
 // Read accesses a page for reading, serving a demand fault if the page is
 // not yet mapped, and returns the content observed.
 func (as *AddressSpace) Read(page uint64) (uint64, error) {
-	f, ok := as.Translate(page)
-	if !ok {
-		var err error
-		f, err = as.demandFault(page)
-		if err != nil {
-			return 0, err
-		}
+	w := as.walk()
+	f, err := w.read(page)
+	if err != nil {
+		return 0, err
 	}
 	return as.ft.Content(f), nil
 }
@@ -131,77 +116,178 @@ func (as *AddressSpace) Read(page uint64) (uint64, error) {
 // Write accesses a page for writing, performing copy-on-write if the
 // effective mapping is a shared Base-EPT entry.
 func (as *AddressSpace) Write(page uint64, content uint64) error {
-	if f, ok := as.private.get(page); ok {
-		as.ft.SetContent(f, content)
-		return nil
+	w := as.walk()
+	return w.write(page, content)
+}
+
+// Touch reads pages [start, start+n) in order, writing every every-th one
+// (offsets 0, every, ...; none if every <= 0) right after its read with
+// the clock's time at that write, low bit set: a sandbox's working set in
+// one call, with exactly the effects of that loop of Reads and Writes.
+func (as *AddressSpace) Touch(start uint64, n, every int) error {
+	w := as.walk()
+	for i, next := 0, 0; i < n; i++ {
+		p := start + uint64(i)
+		if _, err := w.read(p); err != nil {
+			return err
+		}
+		if every > 0 && i == next {
+			next += every
+			if err := w.write(p, uint64(as.env.Now())|1); err != nil {
+				return err
+			}
+		}
 	}
-	if shared, ok := as.base.del(as.ft, page); ok {
-		// EPT write violation on the Base-EPT: copy the page into the
-		// Private-EPT (§3.1) and drop this space's shared reference.
-		as.env.Charge(as.env.Cost.CoWFault)
-		as.stats.CoWFaults++
-		as.private.set(as.ft, page, as.ft.Allocate(content))
-		as.ft.Unref(shared)
-		return nil
-	}
-	// Unmapped anonymous page: first-touch allocation.
-	if _, ok := as.vmaFor(page); !ok {
-		return fmt.Errorf("memory: write fault outside any VMA at page %d", page)
-	}
-	as.env.Charge(as.env.Cost.EPTFault)
-	as.stats.DemandFaults++
-	as.private.set(as.ft, page, as.ft.Allocate(content))
 	return nil
 }
 
-func (as *AddressSpace) demandFault(page uint64) (FrameID, error) {
-	v, ok := as.vmaFor(page)
-	if !ok {
-		return 0, fmt.Errorf("memory: fault outside any VMA at page %d", page)
+// PopulateRange eagerly installs private frames for [start, end) with
+// caller-defined contents, charging perPage for each page up to the first
+// one outside every VMA. It models bulk population that does not go
+// through the fault path: loading a task image from the rootfs, or an
+// application dirtying its heap during initialization. A page already in
+// the Base-EPT moves to a new private frame, keeping the two EPTs disjoint.
+func (as *AddressSpace) PopulateRange(start, end uint64, content func(page uint64) uint64, perPage simtime.Duration) error {
+	w, p := as.walk(), start
+	var err error
+	for p < end {
+		var v VMA
+		if v, err = w.vmaOf(p, "PopulateRange"); err != nil {
+			break
+		}
+		for stop := min(end, v.End); p < stop; {
+			p = w.fill(p, min(stop, (p|leafMask)+1), content)
+		}
 	}
-	as.env.Charge(as.env.Cost.EPTFault)
-	as.stats.DemandFaults++
+	as.env.ChargeN(perPage, int(p-start))
+	return err
+}
+
+// walker is the leaf walker behind every page access: it looks up the
+// Private-EPT and Base-EPT leaves of one leaf key once and keeps them
+// current as entries come and go, so a run of pages pays one per leaf.
+type walker struct {
+	as     *AddressSpace
+	key    uint64 // the leaf key of pl and bl
+	pi, bi int    // their indices in as.private and as.base, or insertion points
+	pl, bl *leaf  // nil where the table has no leaf for key
+	vma    VMA
+}
+
+func (as *AddressSpace) walk() walker { return walker{as: as, key: ^uint64(0)} }
+
+// at moves w to page's leaf and returns the page's offset in it, the
+// frame mapping it (zero if none) and whether that is a Base-EPT entry.
+func (w *walker) at(page uint64) (uint64, FrameID, bool) {
+	off := page & leafMask
+	if key := page >> leafBits; key != w.key {
+		w.key = key
+		w.pi, w.pl = w.as.private.at(key)
+		w.bi, w.bl = w.as.base.at(key)
+	}
+	if w.pl != nil && w.pl.frames[off] != 0 {
+		return off, w.pl.frames[off], false
+	}
+	if w.bl != nil && w.bl.frames[off] != 0 {
+		return off, w.bl.frames[off], true
+	}
+	return off, 0, false
+}
+
+// vmaOf returns page's VMA, trying the last one found first; what names
+// the access in the error for a page outside every VMA.
+func (w *walker) vmaOf(page uint64, what string) (VMA, error) {
+	if vs := w.as.vmas; page < w.vma.Start || page >= w.vma.End {
+		i := sort.Search(len(vs), func(i int) bool { return vs[i].End > page })
+		if i == len(vs) || vs[i].Start > page {
+			return VMA{}, fmt.Errorf("memory: %s outside any VMA at page %d", what, page)
+		}
+		w.vma = vs[i]
+	}
+	return w.vma, nil
+}
+
+// setPrivate maps offset off to a new private frame holding content.
+func (w *walker) setPrivate(off, content uint64) {
+	w.pl = w.as.private.put(w.as.ft, w.pi, w.pl, w.key, off, w.as.ft.Allocate(content))
+}
+
+func (w *walker) read(page uint64) (FrameID, error) {
+	off, f, _ := w.at(page)
+	if f != 0 {
+		return f, nil
+	}
+	v, err := w.vmaOf(page, "fault")
+	if err != nil {
+		return 0, err
+	}
+	w.as.env.Charge(w.as.env.Cost.EPTFault)
+	w.as.stats.DemandFaults++
 	if v.Backing != nil {
 		if f, ok := v.Backing.Frame(page - v.Start); ok {
-			as.ft.Ref(f)
-			as.base.set(as.ft, page, f)
+			w.as.ft.Ref(f)
+			w.bl = w.as.base.put(w.as.ft, w.bi, w.bl, w.key, off, f)
 			return f, nil
 		}
 	}
 	// Anonymous (or image hole): zero frame, private to this space.
-	f := as.ft.Allocate(0)
-	as.private.set(as.ft, page, f)
-	return f, nil
+	w.setPrivate(off, 0)
+	return w.pl.frames[off], nil
 }
 
-// PopulateRange eagerly installs private frames for [start, end) with
-// caller-defined contents, invoking perPage for cost accounting. It
-// models bulk population that does not go through the fault path: loading
-// a task image from the rootfs, or an application dirtying its heap
-// during initialization. A page already in the Base-EPT moves to a new
-// private frame, keeping the two EPTs disjoint.
-func (as *AddressSpace) PopulateRange(start, end uint64, content func(page uint64) uint64, perPage func()) error {
-	for p := start; p < end; p++ {
-		if _, ok := as.vmaFor(p); !ok {
-			return fmt.Errorf("memory: PopulateRange outside any VMA at page %d", p)
+func (w *walker) write(page, content uint64) error {
+	switch off, f, shared := w.at(page); {
+	case f != 0 && !shared:
+		w.as.ft.SetContent(f, content)
+	case f != 0:
+		// EPT write violation on the Base-EPT: copy the page into the
+		// Private-EPT (§3.1) and drop this space's shared reference.
+		f, w.bl = w.as.base.take(w.as.ft, w.bi, off)
+		w.as.env.Charge(w.as.env.Cost.CoWFault)
+		w.as.stats.CoWFaults++
+		w.setPrivate(off, content)
+		w.as.ft.unref(f)
+	default:
+		// Unmapped anonymous page: first-touch allocation.
+		if _, err := w.vmaOf(page, "write fault"); err != nil {
+			return err
 		}
-		if perPage != nil {
-			perPage()
-		}
+		w.as.env.Charge(w.as.env.Cost.EPTFault)
+		w.as.stats.DemandFaults++
+		w.setPrivate(off, content)
+	}
+	return nil
+}
+
+// fill gives pages [p, stop) of one leaf private frames holding content,
+// in page order and without faults; a Base-EPT frame is dropped before
+// its replacement is allocated. It returns stop.
+func (w *walker) fill(p, stop uint64, content func(page uint64) uint64) uint64 {
+	w.at(p) // position w on the leaf
+	for ft := w.as.ft; p < stop; p++ {
+		off := p & leafMask
 		var c uint64
 		if content != nil {
 			c = content(p)
 		}
-		if f, ok := as.private.get(p); ok {
-			as.ft.SetContent(f, c)
+		if w.pl != nil && w.pl.frames[off] != 0 {
+			ft.content[w.pl.frames[off]] = c
 			continue
 		}
-		if shared, ok := as.base.del(as.ft, p); ok {
-			as.ft.Unref(shared)
+		if w.bl != nil && w.bl.frames[off] != 0 {
+			var f FrameID
+			f, w.bl = w.as.base.take(ft, w.bi, off)
+			ft.unref(f)
 		}
-		as.private.set(as.ft, p, as.ft.Allocate(c))
+		if w.pl == nil {
+			w.setPrivate(off, c)
+			continue
+		}
+		w.pl.frames[off] = ft.Allocate(c) // a Private-EPT leaf is exclusive
+		w.pl.n++
+		w.as.private.n++
 	}
-	return nil
+	return stop
 }
 
 // CloneCoW produces a child address space for sfork: the child sees every

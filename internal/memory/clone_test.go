@@ -28,7 +28,7 @@ func templateSpace(tb testing.TB, pages uint64) *AddressSpace {
 			tb.Fatal(err)
 		}
 	}
-	if err := as.PopulateRange(half, pages, nil, nil); err != nil {
+	if err := as.PopulateRange(half, pages, nil, 0); err != nil {
 		tb.Fatal(err)
 	}
 	return as

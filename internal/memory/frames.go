@@ -40,6 +40,7 @@ type FrameTable struct {
 	live    int
 
 	leaves    []*leaf // every leaf some page table holds; leaf.slot indexes it
+	spare     []*leaf // dropped leaves for newLeaf to reuse, at most len(leaves)
 	sharers   []int32 // per frame: refs plus each holding leaf's shares-1
 	sharersOK bool    // sharers is current
 }
@@ -125,14 +126,21 @@ func (ft *FrameTable) sharerCounts() []int32 {
 
 // newLeaf returns an empty leaf with one share, added to the registry.
 func (ft *FrameTable) newLeaf() *leaf {
-	l := &leaf{shares: 1, slot: int32(len(ft.leaves))}
+	var l *leaf
+	if n := len(ft.spare); n > 0 {
+		l, ft.spare[n-1], ft.spare = ft.spare[n-1], nil, ft.spare[:n-1]
+		*l = leaf{}
+	} else {
+		l = new(leaf)
+	}
+	l.shares, l.slot = 1, int32(len(ft.leaves))
 	ft.leaves = append(ft.leaves, l)
 	return l
 }
 
 // unshare drops one share of l and reports whether it was the last. A
-// leaf left with no share leaves the registry, and its frame references
-// pass to the caller.
+// leaf left with no share moves from the registry to the spare list; its
+// frame references pass to the caller, who must read them before newLeaf.
 func (ft *FrameTable) unshare(l *leaf) bool {
 	ft.sharersOK = false
 	l.shares--
@@ -145,6 +153,10 @@ func (ft *FrameTable) unshare(l *leaf) bool {
 	ft.leaves[l.slot] = moved
 	ft.leaves[last] = nil
 	ft.leaves = ft.leaves[:last]
+	if ft.spare = append(ft.spare, l); len(ft.spare) > last {
+		clear(ft.spare[last:])
+		ft.spare = ft.spare[:last]
+	}
 	return true
 }
 

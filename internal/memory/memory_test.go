@@ -6,6 +6,7 @@ import (
 
 	"catalyzer/internal/costmodel"
 	"catalyzer/internal/simenv"
+	"catalyzer/internal/simtime"
 )
 
 func newEnv() *simenv.Env { return simenv.New(costmodel.Default()) }
@@ -167,12 +168,12 @@ func TestPopulateChargesPerPage(t *testing.T) {
 	if err := as.Map(VMA{Name: "img", Start: 0, End: 4, Backing: back}); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	if err := as.PopulateRange(0, 4, func(p uint64) uint64 { return 10 + p }, func() { n++ }); err != nil {
+	before := env.Now()
+	if err := as.PopulateRange(0, 4, func(p uint64) uint64 { return 10 + p }, 3*simtime.Microsecond); err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 {
-		t.Fatalf("perPage called %d times, want 4", n)
+	if got := env.Now() - before; got != 12*simtime.Microsecond {
+		t.Fatalf("PopulateRange charged %v, want 4 pages × 3µs", got)
 	}
 	for p := uint64(0); p < 4; p++ {
 		if got, err := as.Read(p); err != nil || got != 10+p {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"catalyzer/internal/simenv"
+	"catalyzer/internal/simtime"
 )
 
 // This file checks AddressSpace and FrameTable against a naive reference
@@ -188,17 +189,21 @@ func (m *refModel) write(s *refSpace, page, content uint64) {
 	}
 }
 
+// modelPerPage is the per-page charge the model passes to PopulateRange.
+const modelPerPage = 7 * simtime.Nanosecond
+
 func (m *refModel) populate(s *refSpace, start, end, salt uint64) {
-	calls := 0
-	err := s.as.PopulateRange(start, end, func(p uint64) uint64 { return p*31 + salt }, func() { calls++ })
-	wantCalls := 0
+	before := m.env.Now()
+	err := s.as.PopulateRange(start, end, func(p uint64) uint64 { return p*31 + salt }, modelPerPage)
+	charged := m.env.Now() - before
+	wantPages := 0
 	var wantErr bool
 	for p := start; p < end; p++ {
 		if _, in := s.vmaFor(p); !in {
 			wantErr = true
 			break
 		}
-		wantCalls++
+		wantPages++
 		c := p*31 + salt
 		rp, ok := s.pages[p]
 		if ok && rp.private {
@@ -210,8 +215,43 @@ func (m *refModel) populate(s *refSpace, start, end, salt uint64) {
 		}
 		s.pages[p] = refPage{f: m.newFrame(c), private: true}
 	}
-	if (err != nil) != wantErr || calls != wantCalls {
-		m.fail("PopulateRange(%d,%d): err=%v perPage=%d, want error=%v perPage=%d", start, end, err, calls, wantErr, wantCalls)
+	if want := simtime.Duration(wantPages) * modelPerPage; (err != nil) != wantErr || charged != want {
+		m.fail("PopulateRange(%d,%d): err=%v charged %v, want error=%v charged %v", start, end, err, charged, wantErr, want)
+	}
+}
+
+// touch models Touch as its loop of reads and writes, keeping the clock
+// the loop would see: a demand fault charges EPTFault before the page's
+// write, whose content is the time then, low bit set, and a CoW fault
+// charges CoWFault after it.
+func (m *refModel) touch(s *refSpace, start uint64, n, every int) {
+	now := m.env.Now()
+	err := s.as.Touch(start, n, every)
+	var wantErr bool
+	for i := 0; i < n; i++ {
+		p := start + uint64(i)
+		if _, in := s.vmaFor(p); !in {
+			wantErr = true
+			break
+		}
+		if _, ok := s.pages[p]; !ok {
+			m.fault(s, p, false, 0)
+			now += m.env.Cost.EPTFault
+		}
+		if every <= 0 || i%every != 0 {
+			continue
+		}
+		if rp := s.pages[p]; rp.private {
+			rp.f.content = uint64(now) | 1
+		} else {
+			s.stats.CoWFaults++
+			m.unref(rp.f)
+			s.pages[p] = refPage{f: m.newFrame(uint64(now) | 1), private: true}
+			now += m.env.Cost.CoWFault
+		}
+	}
+	if (err != nil) != wantErr || m.env.Now() != now {
+		m.fail("Touch(%d,%d,%d): err=%v clock %v, want error=%v clock %v", start, n, every, err, m.env.Now(), wantErr, now)
 	}
 }
 
@@ -314,6 +354,9 @@ func (m *refModel) check() {
 	if got := m.ft.Live(); got != m.live {
 		m.fail("Live = %d, want %d", got, m.live)
 	}
+	if len(m.ft.spare) > len(m.ft.leaves) {
+		m.fail("%d spare leaves, more than the %d live ones", len(m.ft.spare), len(m.ft.leaves))
+	}
 }
 
 // pick chooses a page of s, biased to VMA edges and the pages on either
@@ -349,7 +392,7 @@ func TestAddressSpaceMatchesReferenceModel(t *testing.T) {
 			}
 			i := r.Intn(len(m.spaces))
 			s := m.spaces[i]
-			switch op := r.Intn(100); {
+			switch op := r.Intn(110); {
 			case op < 25:
 				p := m.pick(r, s)
 				m.trace = append(m.trace, fmt.Sprintf("seed %d step %d: space %d Read(%d)", seed, step, i, p))
@@ -381,12 +424,16 @@ func TestAddressSpaceMatchesReferenceModel(t *testing.T) {
 				v := VMA{Name: "extra", Start: start, End: start + uint64(r.Intn(700))}
 				m.trace = append(m.trace, fmt.Sprintf("seed %d step %d: space %d Map[%d,%d)", seed, step, i, v.Start, v.End))
 				m.mapVMA(s, v)
-			default:
+			case op < 100:
 				if len(m.spaces) >= 6 {
 					continue
 				}
 				m.trace = append(m.trace, fmt.Sprintf("seed %d step %d: new space", seed, step))
 				m.newSpace()
+			default:
+				start, n, every := m.pick(r, s), 1+r.Intn(700), r.Intn(6)
+				m.trace = append(m.trace, fmt.Sprintf("seed %d step %d: space %d Touch(%d,%d,%d)", seed, step, i, start, n, every))
+				m.touch(s, start, n, every)
 			}
 			m.check()
 		}
@@ -437,7 +484,7 @@ func FuzzAddressSpaceModel(f *testing.F) {
 			}
 			i := r.Intn(len(m.spaces))
 			s := m.spaces[i]
-			switch op := r.Intn(8); op {
+			switch op := r.Intn(9); op {
 			case 0:
 				p := m.pick(r, s)
 				m.trace = append(m.trace, fmt.Sprintf("step %d: space %d Read(%d)", step, i, p))
@@ -474,6 +521,10 @@ func FuzzAddressSpaceModel(f *testing.F) {
 				v := VMA{Name: "extra", Start: start, End: start + uint64(r.Intn(700))}
 				m.trace = append(m.trace, fmt.Sprintf("step %d: space %d Map[%d,%d)", step, i, v.Start, v.End))
 				m.mapVMA(s, v)
+			case 8:
+				start, n, every := m.pick(r, s), 1+r.Intn(700), r.Intn(6)
+				m.trace = append(m.trace, fmt.Sprintf("step %d: space %d Touch(%d,%d,%d)", step, i, start, n, every))
+				m.touch(s, start, n, every)
 			}
 			m.check()
 		}

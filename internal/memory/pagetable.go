@@ -27,37 +27,23 @@ type leaf struct {
 // number, and every leaf holds at least one present entry.
 //
 // Methods that change a table take the FrameTable its frames live in, and
-// hand frame references in and out: set takes one from the caller, del
-// gives one back.
+// hand frame references in and out: set and put take one from the
+// caller, take gives one back. Lookups go through at, a binary search;
+// runs of pages look each leaf up once through a walker.
 type pageTable struct {
 	keys   []uint64 // leaf numbers (page >> leafBits), ascending
 	leaves []*leaf
 	n      int // present entries over all leaves
-	// hint is the index of the last leaf looked up. Sandboxes touch pages
-	// in runs, so it saves the binary search for all but the first page
-	// of each leaf. It is only a guess: find uses it after checking
-	// keys[hint], so an insert or delete that shifts the indices cannot
-	// make a lookup return a wrong leaf.
-	hint int
 }
 
-// find returns the index of leaf key, or the index to insert it at.
-func (pt *pageTable) find(key uint64) (int, bool) {
-	if h := pt.hint; h < len(pt.keys) && pt.keys[h] == key {
-		return h, true
-	}
+// at returns the index of leaf key and the leaf, or the index to insert it
+// at and nil.
+func (pt *pageTable) at(key uint64) (int, *leaf) {
 	i, ok := slices.BinarySearch(pt.keys, key)
-	pt.hint = i
-	return i, ok
-}
-
-func (pt *pageTable) get(page uint64) (FrameID, bool) {
-	i, ok := pt.find(page >> leafBits)
 	if !ok {
-		return 0, false
+		return i, nil
 	}
-	f := pt.leaves[i].frames[page&leafMask]
-	return f, f != 0
+	return i, pt.leaves[i]
 }
 
 // own makes leaf i exclusive to this table, copying it if it is shared.
@@ -79,29 +65,30 @@ func (pt *pageTable) own(ft *FrameTable, i int) *leaf {
 // caller's reference on f.
 func (pt *pageTable) set(ft *FrameTable, page uint64, f FrameID) {
 	key := page >> leafBits
-	i, ok := pt.find(key)
-	if !ok {
+	i, l := pt.at(key)
+	pt.put(ft, i, l, key, page&leafMask, f)
+}
+
+// put is set for a caller that already holds at(key)'s result i, l. It
+// returns the leaf now at i, which this table owns.
+func (pt *pageTable) put(ft *FrameTable, i int, l *leaf, key, off uint64, f FrameID) *leaf {
+	if l == nil {
 		pt.keys = slices.Insert(pt.keys, i, key)
 		pt.leaves = slices.Insert(pt.leaves, i, ft.newLeaf())
 	}
-	l := pt.own(ft, i)
-	l.frames[page&leafMask] = f
+	l = pt.own(ft, i)
+	l.frames[off] = f
 	l.n++
 	pt.n++
+	return l
 }
 
-// del unmaps page, reporting the frame it mapped. The caller receives one
-// reference on that frame.
-func (pt *pageTable) del(ft *FrameTable, page uint64) (FrameID, bool) {
-	i, ok := pt.find(page >> leafBits)
-	if !ok {
-		return 0, false
-	}
+// take unmaps entry off, which must be present, of leaf i and gives the
+// caller one reference on the frame it mapped. It returns the leaf now at
+// i, or nil if the entry was its last.
+func (pt *pageTable) take(ft *FrameTable, i int, off uint64) (FrameID, *leaf) {
 	l := pt.leaves[i]
-	f := l.frames[page&leafMask]
-	if f == 0 {
-		return 0, false
-	}
+	f := l.frames[off]
 	pt.n--
 	if l.n == 1 {
 		// The last entry goes with its leaf; a shared leaf need not be
@@ -112,12 +99,12 @@ func (pt *pageTable) del(ft *FrameTable, page uint64) (FrameID, bool) {
 		}
 		pt.keys = slices.Delete(pt.keys, i, i+1)
 		pt.leaves = slices.Delete(pt.leaves, i, i+1)
-		return f, true
+		return f, nil
 	}
 	l = pt.own(ft, i)
-	l.frames[page&leafMask] = 0
+	l.frames[off] = 0
 	l.n--
-	return f, true
+	return f, l
 }
 
 // share returns a table holding the same leaves, each with one more share.
@@ -134,35 +121,23 @@ func (pt *pageTable) share(ft *FrameTable) pageTable {
 // empties src. The two tables must map disjoint pages, and src's leaves
 // must be exclusive, as a Private-EPT's are.
 func (pt *pageTable) absorb(ft *FrameTable, src *pageTable) {
-	if src.n == 0 {
-		return
-	}
-	keys := make([]uint64, 0, len(pt.keys)+len(src.keys))
-	leaves := make([]*leaf, 0, cap(keys))
-	i, j := 0, 0
-	for i < len(pt.keys) || j < len(src.keys) {
-		switch {
-		case j == len(src.keys) || i < len(pt.keys) && pt.keys[i] < src.keys[j]:
-			keys, leaves = append(keys, pt.keys[i]), append(leaves, pt.leaves[i])
-			i++
-		case i == len(pt.keys) || src.keys[j] < pt.keys[i]:
-			keys, leaves = append(keys, src.keys[j]), append(leaves, src.leaves[j])
-			j++
-		default:
-			l, s := pt.own(ft, i), src.leaves[j]
-			for off, f := range &s.frames {
-				if f != 0 {
-					l.frames[off] = f
-				}
-			}
-			l.n += s.n
-			ft.unshare(s) // its last share: s's references move to l
-			keys, leaves = append(keys, pt.keys[i]), append(leaves, l)
-			i++
-			j++
+	for j, s := range src.leaves {
+		i, l := pt.at(src.keys[j])
+		if l == nil {
+			pt.keys = slices.Insert(pt.keys, i, src.keys[j])
+			pt.leaves = slices.Insert(pt.leaves, i, s)
+			continue
 		}
+		l = pt.own(ft, i)
+		for off, f := range &s.frames {
+			if f != 0 {
+				l.frames[off] = f
+			}
+		}
+		l.n += s.n
+		ft.unshare(s) // its last share: s's references move to l
 	}
-	pt.keys, pt.leaves, pt.n = keys, leaves, pt.n+src.n
+	pt.n += src.n
 	*src = pageTable{}
 }
 
@@ -173,14 +148,14 @@ func (pt *pageTable) shift(ft *FrameTable, delta uint64) {
 	old := *pt
 	*pt = pageTable{}
 	for i, l := range old.leaves {
-		if !ft.unshare(l) {
-			ft.refAll(l)
-		}
 		first := old.keys[i] << leafBits
 		for off, f := range &l.frames {
 			if f != 0 {
 				pt.set(ft, first+uint64(off)+delta, f)
 			}
+		}
+		if !ft.unshare(l) {
+			ft.refAll(l)
 		}
 	}
 }

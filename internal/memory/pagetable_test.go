@@ -2,15 +2,35 @@ package memory
 
 import "testing"
 
-// hintTable is a pageTable beside a map of what it should hold.
-type hintTable struct {
+func (pt *pageTable) get(page uint64) (FrameID, bool) {
+	_, l := pt.at(page >> leafBits)
+	if l == nil {
+		return 0, false
+	}
+	f := l.frames[page&leafMask]
+	return f, f != 0
+}
+
+// del unmaps page, reporting the frame it mapped. The caller receives one
+// reference on that frame.
+func (pt *pageTable) del(ft *FrameTable, page uint64) (FrameID, bool) {
+	i, l := pt.at(page >> leafBits)
+	if l == nil || l.frames[page&leafMask] == 0 {
+		return 0, false
+	}
+	f, _ := pt.take(ft, i, page&leafMask)
+	return f, true
+}
+
+// checkedTable is a pageTable beside a map of what it should hold.
+type checkedTable struct {
 	t    *testing.T
 	ft   *FrameTable
 	pt   pageTable
 	want map[uint64]FrameID
 }
 
-func (h *hintTable) set(page uint64) {
+func (h *checkedTable) set(page uint64) {
 	h.t.Helper()
 	f := h.ft.Allocate(page)
 	h.pt.set(h.ft, page, f)
@@ -18,7 +38,7 @@ func (h *hintTable) set(page uint64) {
 	h.check()
 }
 
-func (h *hintTable) del(page uint64) {
+func (h *checkedTable) del(page uint64) {
 	h.t.Helper()
 	f, ok := h.pt.del(h.ft, page)
 	if want, mapped := h.want[page]; ok != mapped || f != want {
@@ -31,42 +51,32 @@ func (h *hintTable) del(page uint64) {
 	h.check()
 }
 
-// check looks every page up from every possible hint, including hints
-// that point past the end or at a leaf that has since moved.
-func (h *hintTable) check() {
+// check looks up every page near the leaves' edges.
+func (h *checkedTable) check() {
 	h.t.Helper()
 	if h.pt.n != len(h.want) {
 		h.t.Fatalf("table holds %d entries, want %d", h.pt.n, len(h.want))
 	}
-	saved := h.pt.hint
-	for hint := 0; hint <= len(h.pt.keys)+1; hint++ {
-		for page := uint64(0); page < 8*leafPages; page += leafPages / 4 {
-			for _, p := range []uint64{page, page + 1} {
-				h.pt.hint = hint
-				f, ok := h.pt.get(p)
-				if want, mapped := h.want[p]; ok != mapped || f != want {
-					h.t.Fatalf("hint %d: get(%d) = %d, %v; want %d, %v (keys %v)", hint, p, f, ok, want, mapped, h.pt.keys)
-				}
+	for page := uint64(0); page < 8*leafPages; page += leafPages / 4 {
+		for _, p := range []uint64{page, page + 1} {
+			f, ok := h.pt.get(p)
+			if want, mapped := h.want[p]; ok != mapped || f != want {
+				h.t.Fatalf("get(%d) = %d, %v; want %d, %v (keys %v)", p, f, ok, want, mapped, h.pt.keys)
 			}
 		}
 	}
-	h.pt.hint = saved
 }
 
-// The leaf hint is checked against the key, so lookups stay right after
-// inserts and deletes shift the leaf it pointed at.
-func TestPageTableHintSurvivesShifts(t *testing.T) {
-	h := &hintTable{t: t, ft: NewFrameTable(), want: map[uint64]FrameID{}}
+// Lookups stay right after inserts and deletes shift the leaves' indices.
+func TestPageTableLookupsSurviveShifts(t *testing.T) {
+	h := &checkedTable{t: t, ft: NewFrameTable(), want: map[uint64]FrameID{}}
 	for _, leafNo := range []uint64{2, 4, 6} {
 		h.set(leafNo * leafPages)
 		h.set(leafNo*leafPages + 1)
 	}
 	leaf4 := uint64(4 * leafPages)
-	if _, ok := h.pt.get(leaf4); !ok || h.pt.keys[h.pt.hint] != 4 {
-		t.Fatalf("lookup in leaf 4 left the hint at %d (keys %v)", h.pt.hint, h.pt.keys)
-	}
 
-	// Insert a leaf before the hinted one: leaf 4 moves from index 1 to 2.
+	// Insert a leaf before leaf 4: it moves from index 1 to 2.
 	h.set(3 * leafPages)
 	h.set(leaf4 + 2)
 	h.del(leaf4 + 2)
@@ -79,8 +89,7 @@ func TestPageTableHintSurvivesShifts(t *testing.T) {
 	}
 	h.del(2 * leafPages) // absent now
 
-	// Empty a leaf through del while the hint points at it.
-	h.pt.get(leaf4)
+	// Empty a leaf through del.
 	h.del(leaf4)
 	h.del(leaf4 + 1)
 	h.del(leaf4)

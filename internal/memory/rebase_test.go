@@ -126,7 +126,7 @@ func TestPopulateRangeReplacesBaseAndUnrefs(t *testing.T) {
 	if ft.Refs(back.frames[0]) != 2 {
 		t.Fatalf("refs = %d, want 2", ft.Refs(back.frames[0]))
 	}
-	if err := as.PopulateRange(7, 9, func(uint64) uint64 { return 5 }, nil); err != nil {
+	if err := as.PopulateRange(7, 9, func(uint64) uint64 { return 5 }, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Replaced: the space's reference on the backing frame is gone, and
@@ -150,10 +150,10 @@ func TestPopulateRangeRejectsOutsideVMA(t *testing.T) {
 	if err := as.Map(VMA{Name: "anon", Start: 0, End: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := as.PopulateRange(100, 104, nil, nil); err == nil {
+	if err := as.PopulateRange(100, 104, nil, 0); err == nil {
 		t.Fatal("PopulateRange outside VMA succeeded")
 	}
-	if err := as.PopulateRange(2, 6, nil, nil); err == nil {
+	if err := as.PopulateRange(2, 6, nil, 0); err == nil {
 		t.Fatal("PopulateRange running off the end of a VMA succeeded")
 	}
 }

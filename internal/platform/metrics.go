@@ -2,7 +2,7 @@ package platform
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"catalyzer/internal/simtime"
 )
@@ -47,19 +47,23 @@ func (m *Metrics) BootMix() map[System]int {
 // Percentile returns the p-th percentile (0 < p <= 100) of observed
 // latency.
 func (m *Metrics) Percentile(p float64) simtime.Duration {
+	return m.Percentiles(p)[0]
+}
+
+// Percentiles returns Percentile for each of ps, sorting the samples
+// once.
+func (m *Metrics) Percentiles(ps ...float64) []simtime.Duration {
+	out := make([]simtime.Duration, len(ps))
 	if len(m.samples) == 0 {
-		return 0
+		return out
 	}
-	sorted := append([]simtime.Duration(nil), m.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(float64(len(sorted))*p/100+0.5) - 1
-	if idx < 0 {
-		idx = 0
+	sorted := slices.Clone(m.samples)
+	slices.Sort(sorted)
+	for i, p := range ps {
+		idx := int(float64(len(sorted))*p/100+0.5) - 1
+		out[i] = sorted[max(0, min(idx, len(sorted)-1))]
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return out
 }
 
 // Mean returns the average latency.
@@ -87,6 +91,7 @@ func (m *Metrics) Max() simtime.Duration {
 
 // String summarizes the distribution.
 func (m *Metrics) String() string {
+	p := m.Percentiles(50, 95, 99)
 	return fmt.Sprintf("%s: n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
-		m.Label, m.Count(), m.Mean(), m.Percentile(50), m.Percentile(95), m.Percentile(99), m.Max())
+		m.Label, m.Count(), m.Mean(), p[0], p[1], p[2], m.Max())
 }

@@ -436,9 +436,7 @@ func (s *Sandbox) loadTaskImage() error {
 	}
 	seed := MemSeed(s.Spec.Name) ^ 0x7a51
 	return s.AS.PopulateRange(v.Start, v.End,
-		func(page uint64) uint64 { return seed + page },
-		func() { s.M.Env.Charge(s.Opts.Profile.PageRead) },
-	)
+		func(page uint64) uint64 { return seed + page }, s.Opts.Profile.PageRead)
 }
 
 // runAppInit executes the wrapped program's initialization up to the
@@ -462,9 +460,7 @@ func (s *Sandbox) runAppInit() error {
 		}
 		mem := image.Memory{Pages: uint64(spec.InitHeapPages), Seed: MemSeed(spec.Name)}
 		if err := s.AS.PopulateRange(v.Start, v.End,
-			func(page uint64) uint64 { return mem.Token(page - v.Start) },
-			func() { env.Charge(p.HeapDirty) },
-		); err != nil {
+			func(page uint64) uint64 { return mem.Token(page - v.Start) }, p.HeapDirty); err != nil {
 			return err
 		}
 	}
@@ -581,19 +577,10 @@ func (s *Sandbox) Execute() (simtime.Duration, error) {
 	}
 	s.LastSyscalls = d
 
-	// Touch the execution working set: reads then writes on the first
-	// ExecPages heap pages.
-	v := s.heapVMA()
-	for i := 0; i < s.Spec.ExecPages; i++ {
-		page := v.Start + uint64(i)
-		if _, err := s.AS.Read(page); err != nil {
-			return 0, err
-		}
-		if i%4 == 0 { // a quarter of the working set is written
-			if err := s.AS.Write(page, uint64(env.Now())|1); err != nil {
-				return 0, err
-			}
-		}
+	// Touch the execution working set: the first ExecPages heap pages
+	// are read, and a quarter of them written.
+	if err := s.AS.Touch(s.heapVMA().Start, s.Spec.ExecPages, 4); err != nil {
+		return 0, err
 	}
 
 	// Deterministic startup I/O: the function's hot connections are used
@@ -608,7 +595,9 @@ func (s *Sandbox) Execute() (simtime.Duration, error) {
 		if _, err := s.Kernel.Conns.Use(conns[i].ID); err != nil {
 			return 0, err
 		}
-		s.Cache.RecordUse(conns[i].Path, hot%3 == 0)
+		if !s.Restored { // only a cold boot's cache becomes an image's
+			s.Cache.RecordUse(conns[i].Path, hot%3 == 0)
+		}
 		hot++
 	}
 	// Plus ExecConns request-dependent (non-deterministic) connections
@@ -691,9 +680,7 @@ func (s *Sandbox) LoadAllHeap(img *image.Image) error {
 		return err
 	}
 	return s.AS.PopulateRange(v.Start, v.End,
-		func(page uint64) uint64 { return img.Mem.Token(page - v.Start) },
-		func() { s.M.Env.Charge(s.M.Env.Cost.PageDecompressCopy) },
-	)
+		func(page uint64) uint64 { return img.Mem.Token(page - v.Start) }, s.M.Env.Cost.PageDecompressCopy)
 }
 
 // ReplaceAddressSpace swaps in a cloned address space (sfork), releasing

@@ -122,6 +122,27 @@ func TestExecutePopulatesIOCache(t *testing.T) {
 	}
 }
 
+// Only a cold boot's I/O cache becomes an image's, so a restored
+// instance's executions record nothing.
+func TestExecuteOnRestoredRecordsNoIOCache(t *testing.T) {
+	_, s1, _ := bootGVisor(t, "java-specjbb")
+	img, err := s1.BuildImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(costmodel.Default())
+	s, _, err := BootGVisorRestore(m, img, newRootFS(), GVisorOptions(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Execute(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Spec.HotConns() == 0 || s.Cache.Len() != 0 {
+		t.Fatalf("restored instance with %d hot conns recorded %d I/O cache entries, want none", s.Spec.HotConns(), s.Cache.Len())
+	}
+}
+
 func TestBuildImageRequiresEntry(t *testing.T) {
 	_, s, _ := bootGVisor(t, "c-hello")
 	if _, err := s.Execute(); err != nil {

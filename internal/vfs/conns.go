@@ -221,9 +221,9 @@ type IOCache struct {
 	ops   map[string]uint8 // path → op bits (bit0 read, bit1 write)
 }
 
-// NewIOCache returns an empty cache.
+// NewIOCache returns an empty cache. Its map is made at the first use.
 func NewIOCache() *IOCache {
-	return &IOCache{ops: make(map[string]uint8)}
+	return &IOCache{}
 }
 
 // RecordUse notes that path was used (op: 'r' or 'w') during the
@@ -233,6 +233,9 @@ func (c *IOCache) RecordUse(path string, write bool) {
 	bit := uint8(1)
 	if write {
 		bit = 2
+	}
+	if c.ops == nil {
+		c.ops = make(map[string]uint8)
 	}
 	if _, ok := c.ops[path]; !ok {
 		c.order = append(c.order, path)

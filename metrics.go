@@ -1,7 +1,7 @@
 package catalyzer
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"catalyzer/internal/platform"
@@ -47,12 +47,13 @@ func (sc *statsCollector) snapshot() map[BootKind]KindStats {
 	defer sc.mu.Unlock()
 	out := make(map[BootKind]KindStats, len(sc.byKind))
 	for kind, m := range sc.byKind {
+		p := m.Percentiles(50, 95, 99)
 		out[kind] = KindStats{
 			Count:    m.Count(),
 			MeanBoot: m.Mean(),
-			P50Boot:  m.Percentile(50),
-			P95Boot:  m.Percentile(95),
-			P99Boot:  m.Percentile(99),
+			P50Boot:  p[0],
+			P95Boot:  p[1],
+			P99Boot:  p[2],
 			MaxBoot:  m.Max(),
 		}
 	}
@@ -67,6 +68,6 @@ func (sc *statsCollector) kinds() []BootKind {
 	for k := range sc.byKind {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
