@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short race vet lint staticcheck examples fuzz-smoke stress chaos chaos-supervision chaos-fleet chaos-gray chaos-zone chaos-restart chaos-fleet-big bench bench-compare bench-test bench-memory ci clean
+.PHONY: build test short race vet fmt-check lint staticcheck examples fuzz-smoke stress chaos chaos-supervision chaos-fleet chaos-gray chaos-zone chaos-restart chaos-fleet-big bench bench-compare bench-test bench-memory ci clean
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file outside testdata (and outside dot-directories such as
+# build caches) must be gofmt-clean; the target lists the offenders.
+fmt-check:
+	@out=$$(gofmt -l $$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.*')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:" >&2; echo "$$out" >&2; exit 1; fi
 
 # The repo's own invariant suite (wallclock, ctxflow, typederr,
 # lockdiscipline, maporder, trackedgo, faultsite); see DESIGN.md
@@ -132,7 +138,7 @@ bench-test:
 bench-memory:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/memory/
 
-ci: vet staticcheck lint race examples chaos-supervision chaos-fleet chaos-gray chaos-zone chaos-restart chaos-fleet-big fuzz-smoke bench-test bench-memory
+ci: vet fmt-check staticcheck lint race examples chaos-supervision chaos-fleet chaos-gray chaos-zone chaos-restart chaos-fleet-big fuzz-smoke bench-test bench-memory
 
 clean:
 	$(GO) clean ./...

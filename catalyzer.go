@@ -101,18 +101,11 @@ var kindToSystem = map[BootKind]platform.System{
 	BaselineNative:        platform.Native,
 }
 
-// AdmissionConfig bounds how much work a fleet admits at once. Zero
+// AdmissionConfig bounds how much work a fleet admits at once: the
+// global and per-function in-flight caps and the FIFO queue depth. Zero
 // values mean unlimited concurrency and no queue (immediate shedding at
 // capacity).
-type AdmissionConfig struct {
-	// MaxConcurrent caps in-flight invocations across all functions.
-	MaxConcurrent int
-	// MaxPerFunction caps in-flight invocations of any single function.
-	MaxPerFunction int
-	// QueueDepth bounds the FIFO wait queue; arrivals beyond it are shed
-	// immediately with ErrOverloaded.
-	QueueDepth int
-}
+type AdmissionConfig = admission.Config
 
 // Option configures a Fleet: admission at its front door, and per
 // machine the cost model, Zygote pool, memory budget, supervision
@@ -157,13 +150,7 @@ func WithCostModel(m *costmodel.Model) Option {
 // full queue (or an expired wait) sheds them with the typed
 // ErrOverloaded / ErrDeadlineExceeded.
 func WithAdmission(cfg AdmissionConfig) Option {
-	return func(c *config) {
-		c.adm = admission.Config{
-			MaxConcurrent:  cfg.MaxConcurrent,
-			MaxPerFunction: cfg.MaxPerFunction,
-			QueueDepth:     cfg.QueueDepth,
-		}
-	}
+	return func(c *config) { c.adm = cfg }
 }
 
 // WithMemoryBudget bounds each machine's physical memory in pages (0 =
@@ -269,10 +256,7 @@ type Invocation struct {
 func (i *Invocation) Degraded() bool { return i.ServedBy != i.Kind }
 
 // Phase is one named boot step.
-type Phase struct {
-	Name     string
-	Duration Duration
-}
+type Phase = simtime.Phase
 
 // Total is the end-to-end latency.
 func (i *Invocation) Total() Duration { return i.BootLatency + i.ExecLatency }
@@ -289,11 +273,9 @@ func invocationOf(r *platform.Result, kind BootKind, arrival Duration) *Invocati
 		ExecLatency: r.ExecLatency,
 		Arrival:     arrival,
 		ServedBy:    served,
+		Phases:      r.Phases,
 	}
 	inv.Completion = arrival + inv.Total()
-	for _, ph := range r.Phases {
-		inv.Phases = append(inv.Phases, Phase{Name: ph.Name, Duration: ph.Duration})
-	}
 	return inv
 }
 

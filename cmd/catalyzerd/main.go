@@ -170,7 +170,7 @@ func requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
 		return ctx, func() {}, nil
 	}
 	ms, err := strconv.ParseFloat(v, 64)
-	if err != nil || ms <= 0 {
+	if err != nil || !(ms > 0) {
 		return nil, nil, fmt.Errorf("bad deadline_ms %q", v)
 	}
 	ctx, cancel := context.WithTimeout(ctx, time.Duration(ms*float64(time.Millisecond)))
@@ -304,10 +304,12 @@ func (s *server) train(w http.ResponseWriter, r *http.Request) {
 	}
 	fraction := 0.5
 	if v := r.URL.Query().Get("fraction"); v != "" {
-		if _, err := fmt.Sscanf(v, "%f", &fraction); err != nil {
+		f, err := strconv.ParseFloat(v, 64)
+		if err != nil {
 			http.Error(w, "bad fraction", http.StatusBadRequest)
 			return
 		}
+		fraction = f
 	}
 	name, err := s.fleet.Train(r.Context(), fn, fraction)
 	if err != nil {

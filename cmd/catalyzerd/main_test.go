@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -279,19 +280,23 @@ func TestHealthDegradesWithOpenBreaker(t *testing.T) {
 	}
 }
 
-func TestDeployCustomAndTrain(t *testing.T) {
-	srv := newTestServer(t)
-	doc := `{
-	  "name": "daemon-custom-fn", "language": "c",
+// customDoc is a small custom workload document.
+func customDoc(name string, initSyscalls int) io.Reader {
+	return strings.NewReader(fmt.Sprintf(`{
+	  "name": %q, "language": "c",
 	  "configKB": 4, "taskImagePages": 400, "rootMounts": 1,
-	  "initComputeMS": 2, "initSyscalls": 200, "initMmaps": 20,
+	  "initComputeMS": 2, "initSyscalls": %d, "initMmaps": 20,
 	  "initFiles": 8, "initFilePages": 100, "initHeapPages": 300,
 	  "kernelObjects": 3500, "kernelThreads": 10, "kernelTimers": 4,
 	  "conns": {"total": 6, "hot": 4, "sockets": 1},
 	  "execComputeUS": 400, "execSyscalls": 50, "execPages": 40,
 	  "execConns": 2
-	}`
-	resp, err := http.Post(srv.URL+"/deploy-custom", "application/json", strings.NewReader(doc))
+	}`, name, initSyscalls))
+}
+
+func TestDeployCustomAndTrain(t *testing.T) {
+	srv := newTestServer(t)
+	resp, err := http.Post(srv.URL+"/deploy-custom", "application/json", customDoc("daemon-custom-fn", 200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,8 +325,10 @@ func TestDeployCustomAndTrain(t *testing.T) {
 	if r := post(t, srv, "/train"); r.StatusCode != http.StatusBadRequest {
 		t.Fatalf("train without fn = %d", r.StatusCode)
 	}
-	if r := post(t, srv, "/train?fn=deathstar-text&fraction=nope"); r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("train bad fraction = %d", r.StatusCode)
+	for _, frac := range []string{"nope", "NaN", "0.5abc"} {
+		if r := post(t, srv, "/train?fn=deathstar-text&fraction="+frac); r.StatusCode != http.StatusBadRequest {
+			t.Fatalf("train fraction=%s = %d, want 400", frac, r.StatusCode)
+		}
 	}
 	badDoc, err := http.Post(srv.URL+"/deploy-custom", "application/json", strings.NewReader("junk"))
 	if err != nil {
@@ -330,6 +337,29 @@ func TestDeployCustomAndTrain(t *testing.T) {
 	badDoc.Body.Close()
 	if badDoc.StatusCode != http.StatusBadRequest {
 		t.Fatalf("deploy-custom junk = %d", badDoc.StatusCode)
+	}
+}
+
+// TestDeployCustomRejectsNegativeCounts: a document with a negative
+// count is refused with 400 before anything registers, so the corrected
+// document deploys under the same name.
+func TestDeployCustomRejectsNegativeCounts(t *testing.T) {
+	srv := newTestServer(t)
+	defer workload.Unregister("daemon-negative-fn")
+	for _, c := range []struct {
+		initSyscalls, want int
+	}{{-5000, http.StatusBadRequest}, {200, http.StatusOK}} {
+		resp, err := http.Post(srv.URL+"/deploy-custom", "application/json", customDoc("daemon-negative-fn", c.initSyscalls))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Fatalf("deploy-custom initSyscalls=%d: status %d, want %d", c.initSyscalls, resp.StatusCode, c.want)
+		}
+	}
+	if r := post(t, srv, "/invoke?fn=daemon-negative-fn&boot=cold"); r.StatusCode != http.StatusOK {
+		t.Fatalf("invoke corrected custom fn = %d", r.StatusCode)
 	}
 }
 

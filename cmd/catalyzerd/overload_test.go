@@ -140,7 +140,7 @@ func TestDeadlineParameter(t *testing.T) {
 			t.Fatalf("generous deadline = %d, want 200", resp2.StatusCode)
 		}
 		// Malformed deadlines are the caller's 400.
-		for _, bad := range []string{"nope", "-5", "0"} {
+		for _, bad := range []string{"nope", "-5", "0", "NaN"} {
 			resp := post(t, srv, "/invoke?fn=c-hello&boot=fork&deadline_ms="+bad)
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("deadline_ms=%s = %d, want 400", bad, resp.StatusCode)

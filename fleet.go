@@ -225,8 +225,13 @@ func (f *Fleet) Deploy(ctx context.Context, name string) error {
 }
 
 // DeployCustom registers a user-defined function from its JSON workload
-// document (see internal/workload.SpecDoc for the format) and deploys it
-// fleet-wide. The name must not collide with a built-in workload.
+// document and deploys it fleet-wide. The document is
+// internal/workload.SpecDoc: the workload.Spec fields under their json
+// tags ("name", "language", "configKB", "initSyscalls", ...) plus a
+// compact "conns" object of total, hot and socket counts. A document
+// that does not validate, including one with a negative count, is
+// refused before anything registers. The name must not collide with a
+// built-in workload.
 func (f *Fleet) DeployCustom(ctx context.Context, doc []byte) (string, error) {
 	return deployCustom(ctx, doc, f.Deploy)
 }
@@ -392,10 +397,7 @@ func (f *Fleet) RestartMachine(idx int) error { return f.fl.Restart(idx) }
 
 // FleetRecovery summarizes one whole-fleet cold restart: the functions
 // restored to service (sorted) and, per unrecoverable function, why.
-type FleetRecovery struct {
-	Recovered []string
-	Failed    map[string]string
-}
+type FleetRecovery = fleet.RecoverReport
 
 // Recover rebuilds the fleet's serving state from the machines'
 // per-machine stores after a whole-fleet restart, so a restarted fleet
@@ -413,11 +415,10 @@ func (f *Fleet) Recover(ctx context.Context) (*FleetRecovery, error) {
 	if rep == nil {
 		return nil, err
 	}
-	out := &FleetRecovery{Recovered: rep.Recovered, Failed: rep.Failed}
 	f.mu.Lock()
-	f.lastRecovery = out
+	f.lastRecovery = rep
 	f.mu.Unlock()
-	return out, err
+	return rep, err
 }
 
 // RecoveryReport returns the report of the most recent Recover pass, or

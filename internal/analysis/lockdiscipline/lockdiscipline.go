@@ -174,10 +174,10 @@ func checkBody(pass *analysis.Pass, fd *ast.FuncDecl) {
 	})
 	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
 
-	held := map[string]bool{}        // locked and not yet positionally unlocked
-	deferred := map[string]bool{}    // unlock deferred: held to function end
-	locks := map[string]token.Pos{}  // first Lock position per key
-	unlocks := map[string]bool{}     // any Unlock or defer-Unlock seen
+	held := map[string]bool{}       // locked and not yet positionally unlocked
+	deferred := map[string]bool{}   // unlock deferred: held to function end
+	locks := map[string]token.Pos{} // first Lock position per key
+	unlocks := map[string]bool{}    // any Unlock or defer-Unlock seen
 	for _, ev := range events {
 		switch ev.kind {
 		case eLock:

@@ -3,240 +3,36 @@ package costmodel
 import (
 	"encoding/json"
 	"fmt"
-
-	"catalyzer/internal/simtime"
+	"reflect"
 )
 
 // JSON calibration files: researchers recalibrating the reproduction
 // against a different testbed can express a cost model as a JSON document
 // of nanosecond values and load it with FromJSON (the catalyzer-load tool
-// accepts one via -costmodel). Marshalling uses a stable field list so a
-// dumped default can be edited and reloaded.
-
-// doc is the serialized form: every duration in integer nanoseconds.
-type doc struct {
-	NCPU int `json:"ncpu"`
-
-	HostForkExecNS      int64 `json:"hostForkExecNS"`
-	SyscallNativeNS     int64 `json:"syscallNativeNS"`
-	SyscallGVisorNS     int64 `json:"syscallGVisorNS"`
-	MmapNativeNS        int64 `json:"mmapNativeNS"`
-	MmapGVisorNS        int64 `json:"mmapGVisorNS"`
-	DupBaseNS           int64 `json:"dupBaseNS"`
-	FDTableExpandBaseNS int64 `json:"fdTableExpandBaseNS"`
-	FDTableSlotNS       int64 `json:"fdTableSlotNS"`
-	NamespaceSetupNS    int64 `json:"namespaceSetupNS"`
-
-	KVMCreateVMNS       int64 `json:"kvmCreateVMNS"`
-	KVMCreateVCPUNS     int64 `json:"kvmCreateVCPUNS"`
-	KvcallocColdNS      int64 `json:"kvcallocColdNS"`
-	KvcallocCachedNS    int64 `json:"kvcallocCachedNS"`
-	SetMemRegionPMLNS   int64 `json:"setMemRegionPMLNS"`
-	SetMemRegionNoPMLNS int64 `json:"setMemRegionNoPMLNS"`
-	EPTFaultNS          int64 `json:"eptFaultNS"`
-	CoWFaultNS          int64 `json:"cowFaultNS"`
-
-	MountFSNS             int64 `json:"mountFSNS"`
-	FileOpenNativeNS      int64 `json:"fileOpenNativeNS"`
-	FileOpenGVisorNS      int64 `json:"fileOpenGVisorNS"`
-	PageReadNativeNS      int64 `json:"pageReadNativeNS"`
-	PageReadGVisorNS      int64 `json:"pageReadGVisorNS"`
-	ConnReconnectNS       int64 `json:"connReconnectNS"`
-	ConnReconnectLazyNS   int64 `json:"connReconnectLazyNS"`
-	ConnReconnectCachedNS int64 `json:"connReconnectCachedNS"`
-
-	ObjectDecodeNS          int64 `json:"objectDecodeNS"`
-	ObjectEncodeNS          int64 `json:"objectEncodeNS"`
-	PointerFixupNS          int64 `json:"pointerFixupNS"`
-	CriticalObjectRecoverNS int64 `json:"criticalObjectRecoverNS"`
-	PageDecompressCopyNS    int64 `json:"pageDecompressCopyNS"`
-	ImageMapRegionNS        int64 `json:"imageMapRegionNS"`
-	ShareMappingNS          int64 `json:"shareMappingNS"`
-	MetadataMapPerKBNS      int64 `json:"metadataMapPerKBNS"`
-	DecompressPerKBNS       int64 `json:"decompressPerKBNS"`
-	CompressPerKBNS         int64 `json:"compressPerKBNS"`
-
-	ConfigParsePerKBNS      int64 `json:"configParsePerKBNS"`
-	GuestKernelObjectInitNS int64 `json:"guestKernelObjectInitNS"`
-	SandboxManagementNS     int64 `json:"sandboxManagementNS"`
-	SentryBootNS            int64 `json:"sentryBootNS"`
-	ZygoteSpecializeNS      int64 `json:"zygoteSpecializeNS"`
-	ZygoteImportBinaryNS    int64 `json:"zygoteImportBinaryNS"`
-	RestoreTaskCreateNS     int64 `json:"restoreTaskCreateNS"`
-
-	InstanceInterferenceNS      int64 `json:"instanceInterferenceNS"`
-	InstanceInterferenceLightNS int64 `json:"instanceInterferenceLightNS"`
-
-	SforkVMACloneNS         int64 `json:"sforkVMACloneNS"`
-	SforkThreadExpandNS     int64 `json:"sforkThreadExpandNS"`
-	SforkOverlayFSCloneNS   int64 `json:"sforkOverlayFSCloneNS"`
-	ThreadMergeSaveNS       int64 `json:"threadMergeSaveNS"`
-	BlockingThreadTimeoutNS int64 `json:"blockingThreadTimeoutNS"`
-
-	DockerCreateNS          int64 `json:"dockerCreateNS"`
-	LeanContainerCreateNS   int64 `json:"leanContainerCreateNS"`
-	FirecrackerCreateNS     int64 `json:"firecrackerCreateNS"`
-	FirecrackerKernelBootNS int64 `json:"firecrackerKernelBootNS"`
-	HyperCreateNS           int64 `json:"hyperCreateNS"`
-
-	HeapDirtyPageNS int64 `json:"heapDirtyPageNS"`
-	RPCSendNS       int64 `json:"rpcSendNS"`
-}
-
-func toDoc(m *Model) *doc {
-	ns := func(d simtime.Duration) int64 { return int64(d) }
-	return &doc{
-		NCPU:                m.NCPU,
-		HostForkExecNS:      ns(m.HostForkExec),
-		SyscallNativeNS:     ns(m.SyscallNative),
-		SyscallGVisorNS:     ns(m.SyscallGVisor),
-		MmapNativeNS:        ns(m.MmapNative),
-		MmapGVisorNS:        ns(m.MmapGVisor),
-		DupBaseNS:           ns(m.DupBase),
-		FDTableExpandBaseNS: ns(m.FDTableExpandBase),
-		FDTableSlotNS:       ns(m.FDTableSlot),
-		NamespaceSetupNS:    ns(m.NamespaceSetup),
-
-		KVMCreateVMNS:       ns(m.KVMCreateVM),
-		KVMCreateVCPUNS:     ns(m.KVMCreateVCPU),
-		KvcallocColdNS:      ns(m.KvcallocCold),
-		KvcallocCachedNS:    ns(m.KvcallocCached),
-		SetMemRegionPMLNS:   ns(m.SetMemRegionPML),
-		SetMemRegionNoPMLNS: ns(m.SetMemRegionNoPML),
-		EPTFaultNS:          ns(m.EPTFault),
-		CoWFaultNS:          ns(m.CoWFault),
-
-		MountFSNS:             ns(m.MountFS),
-		FileOpenNativeNS:      ns(m.FileOpenNative),
-		FileOpenGVisorNS:      ns(m.FileOpenGVisor),
-		PageReadNativeNS:      ns(m.PageReadNative),
-		PageReadGVisorNS:      ns(m.PageReadGVisor),
-		ConnReconnectNS:       ns(m.ConnReconnect),
-		ConnReconnectLazyNS:   ns(m.ConnReconnectLazy),
-		ConnReconnectCachedNS: ns(m.ConnReconnectCached),
-
-		ObjectDecodeNS:          ns(m.ObjectDecode),
-		ObjectEncodeNS:          ns(m.ObjectEncode),
-		PointerFixupNS:          ns(m.PointerFixup),
-		CriticalObjectRecoverNS: ns(m.CriticalObjectRecover),
-		PageDecompressCopyNS:    ns(m.PageDecompressCopy),
-		ImageMapRegionNS:        ns(m.ImageMapRegion),
-		ShareMappingNS:          ns(m.ShareMapping),
-		MetadataMapPerKBNS:      ns(m.MetadataMapPerKB),
-		DecompressPerKBNS:       ns(m.DecompressPerKB),
-		CompressPerKBNS:         ns(m.CompressPerKB),
-
-		ConfigParsePerKBNS:      ns(m.ConfigParsePerKB),
-		GuestKernelObjectInitNS: ns(m.GuestKernelObjectInit),
-		SandboxManagementNS:     ns(m.SandboxManagement),
-		SentryBootNS:            ns(m.SentryBoot),
-		ZygoteSpecializeNS:      ns(m.ZygoteSpecialize),
-		ZygoteImportBinaryNS:    ns(m.ZygoteImportBinary),
-		RestoreTaskCreateNS:     ns(m.RestoreTaskCreate),
-
-		InstanceInterferenceNS:      ns(m.InstanceInterference),
-		InstanceInterferenceLightNS: ns(m.InstanceInterferenceLight),
-
-		SforkVMACloneNS:         ns(m.SforkVMAClone),
-		SforkThreadExpandNS:     ns(m.SforkThreadExpand),
-		SforkOverlayFSCloneNS:   ns(m.SforkOverlayFSClone),
-		ThreadMergeSaveNS:       ns(m.ThreadMergeSave),
-		BlockingThreadTimeoutNS: ns(m.BlockingThreadTimeout),
-
-		DockerCreateNS:          ns(m.DockerCreate),
-		LeanContainerCreateNS:   ns(m.LeanContainerCreate),
-		FirecrackerCreateNS:     ns(m.FirecrackerCreate),
-		FirecrackerKernelBootNS: ns(m.FirecrackerKernelBoot),
-		HyperCreateNS:           ns(m.HyperCreate),
-
-		HeapDirtyPageNS: ns(m.HeapDirtyPage),
-		RPCSendNS:       ns(m.RPCSend),
-	}
-}
-
-func fromDoc(d *doc) (*Model, error) {
-	if d.NCPU <= 0 {
-		return nil, fmt.Errorf("costmodel: ncpu must be positive")
-	}
-	dur := func(ns int64) simtime.Duration { return simtime.Duration(ns) }
-	m := &Model{
-		NCPU:                d.NCPU,
-		HostForkExec:        dur(d.HostForkExecNS),
-		SyscallNative:       dur(d.SyscallNativeNS),
-		SyscallGVisor:       dur(d.SyscallGVisorNS),
-		MmapNative:          dur(d.MmapNativeNS),
-		MmapGVisor:          dur(d.MmapGVisorNS),
-		DupBase:             dur(d.DupBaseNS),
-		FDTableExpandBase:   dur(d.FDTableExpandBaseNS),
-		FDTableSlot:         dur(d.FDTableSlotNS),
-		NamespaceSetup:      dur(d.NamespaceSetupNS),
-		KVMCreateVM:         dur(d.KVMCreateVMNS),
-		KVMCreateVCPU:       dur(d.KVMCreateVCPUNS),
-		KvcallocCold:        dur(d.KvcallocColdNS),
-		KvcallocCached:      dur(d.KvcallocCachedNS),
-		SetMemRegionPML:     dur(d.SetMemRegionPMLNS),
-		SetMemRegionNoPML:   dur(d.SetMemRegionNoPMLNS),
-		EPTFault:            dur(d.EPTFaultNS),
-		CoWFault:            dur(d.CoWFaultNS),
-		MountFS:             dur(d.MountFSNS),
-		FileOpenNative:      dur(d.FileOpenNativeNS),
-		FileOpenGVisor:      dur(d.FileOpenGVisorNS),
-		PageReadNative:      dur(d.PageReadNativeNS),
-		PageReadGVisor:      dur(d.PageReadGVisorNS),
-		ConnReconnect:       dur(d.ConnReconnectNS),
-		ConnReconnectLazy:   dur(d.ConnReconnectLazyNS),
-		ConnReconnectCached: dur(d.ConnReconnectCachedNS),
-
-		ObjectDecode:          dur(d.ObjectDecodeNS),
-		ObjectEncode:          dur(d.ObjectEncodeNS),
-		PointerFixup:          dur(d.PointerFixupNS),
-		CriticalObjectRecover: dur(d.CriticalObjectRecoverNS),
-		PageDecompressCopy:    dur(d.PageDecompressCopyNS),
-		ImageMapRegion:        dur(d.ImageMapRegionNS),
-		ShareMapping:          dur(d.ShareMappingNS),
-		MetadataMapPerKB:      dur(d.MetadataMapPerKBNS),
-		DecompressPerKB:       dur(d.DecompressPerKBNS),
-		CompressPerKB:         dur(d.CompressPerKBNS),
-
-		ConfigParsePerKB:      dur(d.ConfigParsePerKBNS),
-		GuestKernelObjectInit: dur(d.GuestKernelObjectInitNS),
-		SandboxManagement:     dur(d.SandboxManagementNS),
-		SentryBoot:            dur(d.SentryBootNS),
-		ZygoteSpecialize:      dur(d.ZygoteSpecializeNS),
-		ZygoteImportBinary:    dur(d.ZygoteImportBinaryNS),
-		RestoreTaskCreate:     dur(d.RestoreTaskCreateNS),
-
-		InstanceInterference:      dur(d.InstanceInterferenceNS),
-		InstanceInterferenceLight: dur(d.InstanceInterferenceLightNS),
-
-		SforkVMAClone:         dur(d.SforkVMACloneNS),
-		SforkThreadExpand:     dur(d.SforkThreadExpandNS),
-		SforkOverlayFSClone:   dur(d.SforkOverlayFSCloneNS),
-		ThreadMergeSave:       dur(d.ThreadMergeSaveNS),
-		BlockingThreadTimeout: dur(d.BlockingThreadTimeoutNS),
-
-		DockerCreate:          dur(d.DockerCreateNS),
-		LeanContainerCreate:   dur(d.LeanContainerCreateNS),
-		FirecrackerCreate:     dur(d.FirecrackerCreateNS),
-		FirecrackerKernelBoot: dur(d.FirecrackerKernelBootNS),
-		HyperCreate:           dur(d.HyperCreateNS),
-
-		HeapDirtyPage: dur(d.HeapDirtyPageNS),
-		RPCSend:       dur(d.RPCSendNS),
-	}
-	return m, nil
-}
+// accepts one via -costmodel). The document is Model itself, keyed by its
+// json tags in field order, so a dumped default can be edited and
+// reloaded.
 
 // ToJSON serializes a model as an editable calibration document.
 func ToJSON(m *Model) ([]byte, error) {
-	return json.MarshalIndent(toDoc(m), "", "  ")
+	return json.MarshalIndent(m, "", "  ")
 }
 
-// FromJSON loads a calibration document.
+// FromJSON loads a calibration document. A key the document omits costs
+// zero; ncpu must be positive and no cost may be negative.
 func FromJSON(data []byte) (*Model, error) {
-	var d doc
-	if err := json.Unmarshal(data, &d); err != nil {
+	m := new(Model)
+	if err := json.Unmarshal(data, m); err != nil {
 		return nil, fmt.Errorf("costmodel: parse: %w", err)
 	}
-	return fromDoc(&d)
+	if m.NCPU <= 0 {
+		return nil, fmt.Errorf("costmodel: ncpu must be positive")
+	}
+	v := reflect.ValueOf(m).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Int() < 0 {
+			return nil, fmt.Errorf("costmodel: %s must not be negative", v.Type().Field(i).Tag.Get("json"))
+		}
+	}
+	return m, nil
 }

@@ -60,8 +60,8 @@ func TestScenarioRollingCrashExpansion(t *testing.T) {
 func TestScenarioDeterministicBuild(t *testing.T) {
 	build := func() *Scenario {
 		sc := NewScenario()
-		sc.At(2 * time.Second).ZoneDown("z0", "z2")
-		sc.At(3 * time.Second).RollingCrash(time.Second, 4)
+		sc.At(2*time.Second).ZoneDown("z0", "z2")
+		sc.At(3*time.Second).RollingCrash(time.Second, 4)
 		sc.At(10 * time.Second).Heal()
 		return sc
 	}

@@ -707,16 +707,11 @@ func (p *Platform) boot(name string, sys System) (*Result, error) {
 //
 //lint:allow ctxflow context-first-entry waived: machine-layer invoke is synchronous virtual-time work; deadline aborts happen above, in InvokeRecover
 func (p *Platform) Invoke(name string, sys System) (*Result, error) {
-	r, err := p.Boot(name, sys)
+	r, err := p.InvokeKeep(name, sys)
 	if err != nil {
 		return nil, err
 	}
-	defer p.ReleaseSandbox(r.Sandbox)
-	d, err := p.ExecuteSandbox(r.Sandbox)
-	if err != nil {
-		return nil, err
-	}
-	r.ExecLatency = d
+	p.ReleaseSandbox(r.Sandbox)
 	return r, nil
 }
 

@@ -423,21 +423,11 @@ func (p *Platform) noteSforkFailure(name string) {
 // InvokeRecover is Invoke through the recovery machinery: boot with
 // fallback (bounded by ctx), execute one request, release the instance.
 func (p *Platform) InvokeRecover(ctx context.Context, name string, sys System) (*Result, error) {
-	r, err := p.BootRecover(ctx, name, sys)
+	r, err := p.InvokeKeepRecover(ctx, name, sys)
 	if err != nil {
 		return nil, err
 	}
-	defer p.ReleaseSandbox(r.Sandbox)
-	if cerr := admission.CtxErr(ctx); cerr != nil {
-		return nil, p.abortChain(name, sys, 1, cerr)
-	}
-	d, err := p.executeWatched(name, r.Sandbox)
-	if err != nil {
-		p.noteExecFailure(name, r.Sandbox)
-		return nil, fmt.Errorf("platform: execute %s: %w", name, err)
-	}
-	p.sup.NoteSuccess(name)
-	r.ExecLatency = d
+	p.ReleaseSandbox(r.Sandbox)
 	return r, nil
 }
 

@@ -4,14 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-
-	"catalyzer/internal/vfs"
 )
 
 // Custom workload support: downstream users describe their own functions
 // as JSON documents and register them alongside the built-in evaluation
-// workloads. A spec document mirrors the Spec fields plus a compact
-// connection description:
+// workloads. A spec document carries the Spec fields under their json
+// tags plus a compact connection description:
 //
 //	{
 //	  "name": "my-fn", "language": "python",
@@ -26,28 +24,13 @@ import (
 
 // SpecDoc is the JSON form of a workload spec.
 type SpecDoc struct {
-	Name           string   `json:"name"`
-	Language       Language `json:"language"`
-	ConfigKB       int      `json:"configKB"`
-	TaskImagePages int      `json:"taskImagePages"`
-	RootMounts     int      `json:"rootMounts"`
-	InitComputeMS  int      `json:"initComputeMS"`
-	InitSyscalls   int      `json:"initSyscalls"`
-	InitMmaps      int      `json:"initMmaps"`
-	InitFiles      int      `json:"initFiles"`
-	InitFilePages  int      `json:"initFilePages"`
-	InitHeapPages  int      `json:"initHeapPages"`
-	KernelObjects  int      `json:"kernelObjects"`
-	KernelThreads  int      `json:"kernelThreads"`
-	KernelTimers   int      `json:"kernelTimers"`
-	Conns          ConnsDoc `json:"conns"`
-	ExecComputeUS  int      `json:"execComputeUS"`
-	ExecSyscalls   int      `json:"execSyscalls"`
-	ExecPages      int      `json:"execPages"`
-	ExecConns      int      `json:"execConns"`
+	Spec
+	Conns ConnsDoc `json:"conns"`
 }
 
-// ConnsDoc describes a function's connection set compactly.
+// ConnsDoc describes a function's connection set compactly: Total
+// connections, the first Sockets of them sockets and the rest files, the
+// first Hot of them hot.
 type ConnsDoc struct {
 	Total   int `json:"total"`
 	Hot     int `json:"hot"`
@@ -60,75 +43,20 @@ func ParseSpec(data []byte) (*Spec, error) {
 	if err := json.Unmarshal(data, &d); err != nil {
 		return nil, fmt.Errorf("workload: parse spec: %w", err)
 	}
-	return d.Spec()
-}
-
-// Spec materializes the document into a validated Spec.
-func (d *SpecDoc) Spec() (*Spec, error) {
-	if d.Conns.Hot > d.Conns.Total || d.Conns.Sockets > d.Conns.Total {
-		return nil, fmt.Errorf("workload %s: conns hot/sockets exceed total", d.Name)
+	c := d.Conns
+	if min(c.Total, c.Hot, c.Sockets) < 0 || c.Hot > c.Total || c.Sockets > c.Total {
+		return nil, fmt.Errorf("workload %s: conns hot/sockets outside 0..total", d.Name)
 	}
 	prefix := d.Name
 	if len(prefix) > 10 {
 		prefix = prefix[:10]
 	}
-	s := &Spec{
-		Name:           d.Name,
-		Language:       d.Language,
-		ConfigKB:       d.ConfigKB,
-		TaskImagePages: d.TaskImagePages,
-		RootMounts:     d.RootMounts,
-		InitComputeMS:  d.InitComputeMS,
-		InitSyscalls:   d.InitSyscalls,
-		InitMmaps:      d.InitMmaps,
-		InitFiles:      d.InitFiles,
-		InitFilePages:  d.InitFilePages,
-		InitHeapPages:  d.InitHeapPages,
-		KernelObjects:  d.KernelObjects,
-		KernelThreads:  d.KernelThreads,
-		KernelTimers:   d.KernelTimers,
-		Conns:          conns(prefix, d.Conns.Total, d.Conns.Hot, d.Conns.Sockets),
-		ExecComputeUS:  d.ExecComputeUS,
-		ExecSyscalls:   d.ExecSyscalls,
-		ExecPages:      d.ExecPages,
-		ExecConns:      d.ExecConns,
-	}
+	s := &d.Spec
+	s.Conns = conns(prefix, c.Total, c.Hot, c.Sockets)
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// Doc converts a Spec back to its JSON document form (round-tripping for
-// tooling; conn paths collapse to their counts).
-func (s *Spec) Doc() *SpecDoc {
-	sockets := 0
-	for _, c := range s.Conns {
-		if c.Kind == vfs.ConnSocket {
-			sockets++
-		}
-	}
-	return &SpecDoc{
-		Name:           s.Name,
-		Language:       s.Language,
-		ConfigKB:       s.ConfigKB,
-		TaskImagePages: s.TaskImagePages,
-		RootMounts:     s.RootMounts,
-		InitComputeMS:  s.InitComputeMS,
-		InitSyscalls:   s.InitSyscalls,
-		InitMmaps:      s.InitMmaps,
-		InitFiles:      s.InitFiles,
-		InitFilePages:  s.InitFilePages,
-		InitHeapPages:  s.InitHeapPages,
-		KernelObjects:  s.KernelObjects,
-		KernelThreads:  s.KernelThreads,
-		KernelTimers:   s.KernelTimers,
-		Conns:          ConnsDoc{Total: len(s.Conns), Hot: s.HotConns(), Sockets: sockets},
-		ExecComputeUS:  s.ExecComputeUS,
-		ExecSyscalls:   s.ExecSyscalls,
-		ExecPages:      s.ExecPages,
-		ExecConns:      s.ExecConns,
-	}
 }
 
 // ErrAlreadyRegistered is returned by RegisterCustom when the name is

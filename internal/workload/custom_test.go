@@ -2,7 +2,10 @@ package workload
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
+
+	"catalyzer/internal/vfs"
 )
 
 const customDoc = `{
@@ -38,6 +41,35 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// TestParseSpecFullSpec pins the document format: every key of the
+// custom document lands in its Spec field, and the compact conns object
+// expands to sockets first, then files, the first Hot of them hot.
+func TestParseSpecFullSpec(t *testing.T) {
+	got, err := ParseSpec([]byte(customDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Spec{
+		Name: "my-fn", Language: Python,
+		ConfigKB: 4, TaskImagePages: 2500, RootMounts: 2,
+		InitComputeMS: 80, InitSyscalls: 6000, InitMmaps: 900,
+		InitFiles: 200, InitFilePages: 3000, InitHeapPages: 9000,
+		KernelObjects: 12000, KernelThreads: 30, KernelTimers: 10,
+		Conns:         conns("my-fn", 24, 16, 4),
+		ExecComputeUS: 5000, ExecSyscalls: 700, ExecPages: 600,
+		ExecConns: 4,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ParseSpec:\n got %+v\nwant %+v", got, want)
+	}
+	if c := got.Conns[0]; c != (ConnSpec{Kind: vfs.ConnSocket, Path: "/srv/my-fn/io-000", Hot: true}) {
+		t.Fatalf("first conn %+v", c)
+	}
+	if c := got.Conns[23]; c != (ConnSpec{Kind: vfs.ConnFile, Path: "/srv/my-fn/io-023", Hot: false}) {
+		t.Fatalf("last conn %+v", c)
+	}
+}
+
 func TestParseSpecErrors(t *testing.T) {
 	if _, err := ParseSpec([]byte("not json")); err == nil {
 		t.Fatal("garbage accepted")
@@ -45,26 +77,16 @@ func TestParseSpecErrors(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"name":"x"}`)); err == nil {
 		t.Fatal("incomplete spec accepted")
 	}
-	bad := SpecDoc{Name: "x", Language: C, ConfigKB: 4, TaskImagePages: 100,
-		KernelObjects: 1000, Conns: ConnsDoc{Total: 2, Hot: 5}}
-	if _, err := bad.Spec(); err == nil {
-		t.Fatal("hot > total accepted")
-	}
-}
-
-func TestDocRoundTrip(t *testing.T) {
-	orig := MustGet("python-django")
-	data, err := json.Marshal(orig.Doc())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseSpec(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != orig.Name || got.InitHeapPages != orig.InitHeapPages ||
-		len(got.Conns) != len(orig.Conns) || got.HotConns() != orig.HotConns() {
-		t.Fatalf("round trip diverged: %+v", got)
+	for _, c := range []ConnsDoc{{Total: 2, Hot: 5}, {Total: 2, Sockets: 3}, {Total: -1, Hot: -2, Sockets: -2}} {
+		bad := SpecDoc{Spec: Spec{Name: "x", Language: C, ConfigKB: 4, TaskImagePages: 100,
+			KernelObjects: 1000}, Conns: c}
+		data, err := json.Marshal(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseSpec(data); err == nil {
+			t.Fatalf("conns %+v accepted", c)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import "fmt"
 // its execution work captured at initialization time. The derived spec is
 // registered under "<name>@pretrained" by PrepareTrained-style callers.
 func PreInitVariant(s *Spec, fraction float64) (*Spec, error) {
-	if fraction <= 0 || fraction >= 1 {
+	if !(fraction > 0 && fraction < 1) { // also refuses NaN
 		return nil, fmt.Errorf("workload: pre-init fraction %.2f outside (0,1)", fraction)
 	}
 	v := *s

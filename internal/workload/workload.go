@@ -15,6 +15,7 @@ package workload
 
 import (
 	"fmt"
+	"reflect"
 
 	"catalyzer/internal/simtime"
 	"catalyzer/internal/vfs"
@@ -43,46 +44,55 @@ type ConnSpec struct {
 }
 
 // Spec is the complete work specification of one serverless function.
+// The json tags are the keys of a custom workload document (SpecDoc),
+// which describes Conns compactly instead.
 type Spec struct {
-	Name     string
-	Language Language
+	Name     string   `json:"name"`
+	Language Language `json:"language"`
 
 	// Sandbox-level inputs.
-	ConfigKB       int // OCI configuration size parsed by the gateway
-	TaskImagePages int // wrapper/runtime binary pages loaded at sandbox start
-	RootMounts     int // filesystem mounts beyond the base rootfs
+	ConfigKB       int `json:"configKB"`       // OCI configuration size parsed by the gateway
+	TaskImagePages int `json:"taskImagePages"` // wrapper/runtime binary pages loaded at sandbox start
+	RootMounts     int `json:"rootMounts"`     // filesystem mounts beyond the base rootfs
 
 	// Application initialization (start of wrapped program → func-entry).
-	InitComputeMS int // pure CPU initialization (runtime bootstrap, JIT, ...)
-	InitSyscalls  int
-	InitMmaps     int // address-space manipulations (dominant for managed runtimes)
-	InitFiles     int // files opened (libraries, class files)
-	InitFilePages int // 4 KiB pages read from those files
-	InitHeapPages int // heap pages dirtied during init (the func-image memory section)
+	InitComputeMS int `json:"initComputeMS"` // pure CPU initialization (runtime bootstrap, JIT, ...)
+	InitSyscalls  int `json:"initSyscalls"`
+	InitMmaps     int `json:"initMmaps"`     // address-space manipulations (dominant for managed runtimes)
+	InitFiles     int `json:"initFiles"`     // files opened (libraries, class files)
+	InitFilePages int `json:"initFilePages"` // 4 KiB pages read from those files
+	InitHeapPages int `json:"initHeapPages"` // heap pages dirtied during init (the func-image memory section)
 
 	// Guest-kernel population at func-entry.
-	KernelObjects int // total objects (§2.2: 37,838 for SPECjbb)
-	KernelThreads int
-	KernelTimers  int
+	KernelObjects int `json:"kernelObjects"` // total objects (§2.2: 37,838 for SPECjbb)
+	KernelThreads int `json:"kernelThreads"`
+	KernelTimers  int `json:"kernelTimers"`
 
-	Conns []ConnSpec
+	Conns []ConnSpec `json:"-"`
 
 	// Execution (handler).
-	ExecComputeUS int // handler CPU time in microseconds
-	ExecSyscalls  int
-	ExecPages     int // heap pages touched (a small fraction of init, Insight II)
+	ExecComputeUS int `json:"execComputeUS"` // handler CPU time in microseconds
+	ExecSyscalls  int `json:"execSyscalls"`
+	ExecPages     int `json:"execPages"` // heap pages touched (a small fraction of init, Insight II)
 	// ExecConns is the number of request-dependent (non-deterministic)
 	// connections used per request, beyond the hot startup set.
-	ExecConns int
+	ExecConns int `json:"execConns"`
 }
 
-// Validate checks internal consistency.
+// Validate checks internal consistency: no count is negative and the
+// counts agree with each other.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("workload: empty name")
 	}
 	if s.Language == "" {
 		return fmt.Errorf("workload %s: empty language", s.Name)
+	}
+	v := reflect.ValueOf(s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Int && f.Int() < 0 {
+			return fmt.Errorf("workload %s: %s %d is negative", s.Name, v.Type().Field(i).Name, f.Int())
+		}
 	}
 	if s.ExecPages > s.InitHeapPages {
 		return fmt.Errorf("workload %s: ExecPages %d exceeds InitHeapPages %d (Insight II violated)", s.Name, s.ExecPages, s.InitHeapPages)

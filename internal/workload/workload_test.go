@@ -64,6 +64,12 @@ func TestValidateCatchesInconsistencies(t *testing.T) {
 		{"exec conns exceed conns", func(s *Spec) { s.ExecConns = len(s.Conns) + 1 }},
 		{"too few kernel objects", func(s *Spec) { s.KernelObjects = 1 }},
 		{"missing config", func(s *Spec) { s.ConfigKB = 0 }},
+		{"negative init syscalls", func(s *Spec) { s.InitSyscalls = -5000 }},
+		{"negative init compute", func(s *Spec) { s.InitComputeMS = -1 }},
+		{"negative root mounts", func(s *Spec) { s.RootMounts = -1 }},
+		{"negative exec compute", func(s *Spec) { s.ExecComputeUS = -1 }},
+		{"negative exec syscalls", func(s *Spec) { s.ExecSyscalls = -1 }},
+		{"negative kernel threads", func(s *Spec) { s.KernelThreads = -1 }},
 	}
 	for _, c := range cases {
 		s := *base

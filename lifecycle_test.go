@@ -3,6 +3,7 @@ package catalyzer
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"catalyzer/internal/simtime"
@@ -171,5 +172,8 @@ func TestTrainValidation(t *testing.T) {
 	}
 	if _, err := c.Train(ctx, "c-hello", 1.5); err == nil {
 		t.Fatal("fraction > 1 accepted")
+	}
+	if _, err := c.Train(ctx, "c-hello", math.NaN()); err == nil {
+		t.Fatal("NaN fraction accepted")
 	}
 }
