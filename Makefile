@@ -132,11 +132,12 @@ bench-compare:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# One iteration of every internal/memory benchmark, so they keep compiling
-# and running (BenchmarkForkTouchRelease is a SPECjbb-sized fork, touch and
-# release).
+# One iteration of every internal/memory, internal/serial and
+# internal/guest benchmark, so they keep compiling and running
+# (BenchmarkForkTouchRelease is a SPECjbb-sized fork, touch and release;
+# BenchmarkEncodeRecords encodes a 20,000-object checkpoint).
 bench-memory:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/memory/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/memory/ ./internal/serial/ ./internal/guest/
 
 ci: vet fmt-check staticcheck lint race examples chaos-supervision chaos-fleet chaos-gray chaos-zone chaos-restart chaos-fleet-big fuzz-smoke bench-test bench-memory
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime/metrics"
 	"strconv"
 	"testing"
 	"time"
@@ -25,6 +26,8 @@ import (
 // errors escape, the gray member is ejected without membership churn,
 // a zone-wide kill loses zero replicas and heals back to full
 // membership, and extra traffic stays inside the retry/hedge budget.
+// It logs the peak live heap it sampled after each phase, the
+// simulator's own memory at this scale.
 func TestChaosFleetBig(t *testing.T) {
 	if os.Getenv("CATALYZER_CHAOS_BIG") == "" {
 		t.Skip("set CATALYZER_CHAOS_BIG=1 to run the 100-machine × 3-zone × 1000-function smoke")
@@ -67,12 +70,22 @@ func TestChaosFleetBig(t *testing.T) {
 	}
 	defer f.Close()
 
+	// The live heap as of the last GC, sampled after each phase.
+	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	var peakLive uint64
+	sampleLive := func() {
+		metrics.Read(live)
+		peakLive = max(peakLive, live[0].Value.Uint64())
+	}
+	defer func() { t.Logf("peak live heap sampled after each phase: %d MiB", peakLive>>20) }()
+
 	ctx := context.Background()
 	for _, fn := range names {
 		if err := f.Deploy(ctx, fn); err != nil {
 			t.Fatalf("Deploy(%s): %v", fn, err)
 		}
 	}
+	sampleLive()
 
 	// One pass of healthy traffic over every function.
 	for _, fn := range names {
@@ -80,6 +93,7 @@ func TestChaosFleetBig(t *testing.T) {
 			t.Fatalf("Invoke(%s): %v", fn, err)
 		}
 	}
+	sampleLive()
 
 	// One machine goes gray; the functions keep getting served. The
 	// victim is the busiest server of the healthy pass — replica
@@ -105,6 +119,7 @@ func TestChaosFleetBig(t *testing.T) {
 		}
 	}
 
+	sampleLive()
 	st := f.FleetStats()
 	if st.Up != machines || st.Down != 0 {
 		t.Fatalf("membership churned under gray load: %+v", st)
@@ -143,6 +158,7 @@ func TestChaosFleetBig(t *testing.T) {
 			}
 		}
 	}
+	sampleLive()
 	mid := f.FleetStats()
 	if mid.ZonesDown != 1 {
 		t.Fatalf("zone kill not in effect mid-traffic: %+v", mid)
@@ -166,6 +182,7 @@ func TestChaosFleetBig(t *testing.T) {
 		hst := f.FleetStats()
 		healed = hst.ZonesDown == 0 && hst.Down == 0
 	}
+	sampleLive()
 	if !healed {
 		t.Fatalf("zone never healed: %+v", f.FleetStats())
 	}

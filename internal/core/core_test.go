@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"catalyzer/internal/costmodel"
+	"catalyzer/internal/guest"
 	"catalyzer/internal/image"
 	"catalyzer/internal/sandbox"
+	"catalyzer/internal/serial"
 	"catalyzer/internal/simtime"
 	"catalyzer/internal/vfs"
 	"catalyzer/internal/workload"
@@ -465,5 +467,64 @@ func TestSharedMappingReducesPSS(t *testing.T) {
 	pss := last.AS.PSS()
 	if pss >= rss*0.75 {
 		t.Fatalf("PSS %.0f not much below RSS %.0f despite 4-way sharing", pss, rss)
+	}
+}
+
+// kernelView is what a reader can observe of a guest kernel's graph.
+type kernelView struct {
+	sig   uint64
+	tasks *guest.TaskTable
+	count int
+	kinds [guest.KindMisc + 1]int
+	objs  []serial.Object
+}
+
+func viewKernel(t *testing.T, k *guest.Kernel) kernelView {
+	t.Helper()
+	tasks, err := k.TaskTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := kernelView{sig: k.Signature(), tasks: tasks, count: k.ObjectCount(), objs: k.Objects()}
+	for kind := range v.kinds {
+		v.kinds[kind] = k.KindCount(uint8(kind))
+	}
+	return v
+}
+
+func (v kernelView) equal(o kernelView) bool {
+	return v.sig == o.sig && v.tasks.Equal(o.tasks) && v.count == o.count &&
+		v.kinds == o.kinds && serial.Equal(v.objs, o.objs)
+}
+
+// For every registry spec, sealing the kernel a template boots keeps
+// every view of its graph, and MakeTemplate's sealed template and its
+// sforked child show the graph the unsealed kernel had.
+func TestSealKeepsEveryRegistrySpec(t *testing.T) {
+	for _, name := range workload.Names() {
+		spec := workload.MustGet(name)
+		m := sandbox.NewMachine(costmodel.Default())
+		s, _, err := sandbox.BootCold(m, spec, newRootFS(), catalyzerOptions(m))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		before := viewKernel(t, s.Kernel)
+		if err := s.Kernel.Seal(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !viewKernel(t, s.Kernel).equal(before) {
+			t.Fatalf("%s: Seal changed the kernel's graph", name)
+		}
+		tmpl, err := New(sandbox.NewMachine(costmodel.Default())).MakeTemplate(spec, newRootFS())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		child, _, err := tmpl.Sfork()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !viewKernel(t, tmpl.Sandbox().Kernel).equal(before) || !viewKernel(t, child.Kernel).equal(before) {
+			t.Fatalf("%s: the sealed template or its child shows a different graph", name)
+		}
 	}
 }

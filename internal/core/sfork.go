@@ -32,8 +32,10 @@ type Template struct {
 }
 
 // MakeTemplate boots a template sandbox for spec (offline: template
-// initialization is not on any request's critical path) and merges it to
-// the transient single-thread state.
+// initialization is not on any request's critical path), merges it to
+// the transient single-thread state and seals its guest kernel: nothing
+// writes the kernel after the func-entry point, so the template and
+// every child it sforks share one record region.
 func (c *Catalyzer) MakeTemplate(spec *workload.Spec, fs *vfs.FSServer) (*Template, error) {
 	s, _, err := sandbox.BootCold(c.M, spec, fs, catalyzerOptions(c.M))
 	if err != nil {
@@ -41,6 +43,9 @@ func (c *Catalyzer) MakeTemplate(spec *workload.Spec, fs *vfs.FSServer) (*Templa
 	}
 	if err := s.Runtime.EnterTransientSingleThread(); err != nil {
 		return nil, fmt.Errorf("core: template merge: %w", err)
+	}
+	if err := s.Kernel.Seal(); err != nil {
+		return nil, fmt.Errorf("core: template seal: %w", err)
 	}
 	t := &Template{c: c, s: s, fs: fs, lineage: sandbox.NewLineage()}
 	// Latent-poison injection: the build "succeeds" but the captured

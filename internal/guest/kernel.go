@@ -42,14 +42,15 @@ func IsCritical(kind uint8) bool {
 // Kernel is one sandbox's guest kernel.
 type Kernel struct {
 	env *simenv.Env
-	// The object graph is held in one of two forms. A kernel restored by
-	// separated state recovery points rec at its checkpoint's fixed-up
-	// record region — the mapped state is the live state — and objects
-	// is nil. That region is shared read-only by every kernel restored
-	// from the checkpoint, so nothing writes into it: readers decode rec
-	// on demand, and the first mutation materializes it into objects
-	// (setting rec to nil) and only appends from then on. Every other
-	// kernel holds objects and a nil rec.
+	// The object graph is held in one of two forms. A kernel being built
+	// holds objects and a nil rec. A kernel past its func-entry point
+	// points rec at one record region with its references in place and
+	// objects is nil: a template Seal encoded, shared by every child
+	// CloneShared makes of it, or the fixed-up region of the checkpoint
+	// a separated restore mapped — the mapped state is the live state.
+	// A region is shared read-only, so nothing writes into it: readers
+	// decode rec on demand, and the first mutation materializes it into
+	// objects (setting rec to nil) and only appends from then on.
 	objects []serial.Object
 	rec     *serial.Records
 	byKind  [KindMisc + 1]int
@@ -223,12 +224,33 @@ func (k *Kernel) materialize() {
 	}
 }
 
+// Seal ends the kernel's build at its func-entry point: it encodes the
+// object graph once into the record form a separated restore produces,
+// references in place and no relation table, and drops the objects. A
+// sealed template holds about 18 bytes per object instead of an Object
+// header, payload and refs each, and every child CloneShared makes shares
+// that one region. It charges nothing: a template's state costs the same
+// in either form. A later mutation materializes the graph as it does for
+// a restored kernel; sealing a sealed kernel does nothing.
+func (k *Kernel) Seal() error {
+	if k.rec != nil {
+		return nil
+	}
+	rec, err := serial.EncodeRegion(k.objects)
+	if err != nil {
+		return fmt.Errorf("guest: seal: %w", err)
+	}
+	k.objects, k.rec = nil, rec
+	return nil
+}
+
 // CloneShared returns the sforked child's view of this kernel: the object
 // graph is shared (it lives in CoW memory, so sharing is free until a
 // write), the connection table is cloned with descriptors intact. The
 // object graph is immutable after the func-entry point in this model, so
-// sharing it is sound. The shared slice is clipped to its length, so a
-// child that does append copies instead of writing into spare capacity
+// sharing it is sound. A sealed or restored kernel shares its record
+// region; a materialized one shares its slice clipped to its length, so
+// a child that does append copies instead of writing into spare capacity
 // its siblings also see.
 func (k *Kernel) CloneShared() *Kernel {
 	n := len(k.objects)
@@ -371,8 +393,10 @@ func RestoreSeparated(env *simenv.Env, cp *Checkpoint) (*Kernel, error) {
 	// first restore of cp replays them over a copy of the region, so the
 	// mapped image stays as it was captured; every restore is charged.
 	cp.fixupOnce.Do(func() {
+		region := make([]byte, len(cp.Records.Region))
+		copy(region, cp.Records.Region)
 		rec := &serial.Records{
-			Region:    append([]byte(nil), cp.Records.Region...),
+			Region:    region,
 			Relations: cp.Records.Relations,
 			Index:     cp.Records.Index,
 		}

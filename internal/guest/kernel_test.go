@@ -328,7 +328,7 @@ func TestRestoreSeparatedFixupErrorCached(t *testing.T) {
 	}
 	rec := *good.Records
 	rec.Relations = append(append([]serial.Relation(nil), rec.Relations...),
-		serial.Relation{SlotOffset: uint64(len(rec.Region)) + 100})
+		serial.Relation{SlotOffset: uint32(len(rec.Region)) + 100})
 	bad := &Checkpoint{Records: &rec, CriticalCount: good.CriticalCount}
 	mapOnly := simtime.Duration((len(rec.Region)+1023)/1024) * newEnv().Cost.MetadataMapPerKB
 	var first error
@@ -358,7 +358,7 @@ func TestRestoreSeparatedValidateErrorCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := *good.Records
-	rec.Index = append(append([]uint64(nil), rec.Index...), uint64(len(rec.Region))+100)
+	rec.Index = append(append([]uint32(nil), rec.Index...), uint32(len(rec.Region))+100)
 	bad := &Checkpoint{Records: &rec, CriticalCount: good.CriticalCount}
 	var first error
 	var charged simtime.Duration
@@ -452,7 +452,7 @@ func TestRestoreSeparatedCorruptRegion(t *testing.T) {
 	}
 	region := cp.Records.Region
 	for name, rec := range map[string]*serial.Records{
-		"index past region": {Region: region, Index: []uint64{uint64(len(region)) + 1}},
+		"index past region": {Region: region, Index: []uint32{uint32(len(region)) + 1}},
 		"truncated record":  {Region: region[:len(region)-1], Index: cp.Records.Index},
 	} {
 		bad := &Checkpoint{Records: rec}
@@ -683,5 +683,120 @@ func BenchmarkCreateObjects(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k.objects = k.objects[:0:0]
 		k.CreateObjects(KindMisc, 1000)
+	}
+}
+
+// kernelView is what a reader can observe of a kernel's object graph.
+// A graph with untyped critical objects has no task table, only the
+// error TaskTable reports for it.
+type kernelView struct {
+	sig      uint64
+	tasks    *TaskTable
+	tasksErr string
+	count    int
+	kinds    [KindMisc + 1]int
+	objs     []serial.Object
+}
+
+func viewOf(k *Kernel) kernelView {
+	v := kernelView{sig: k.Signature(), count: k.ObjectCount(), objs: k.Objects()}
+	tasks, err := k.TaskTable()
+	if err != nil {
+		v.tasksErr = err.Error()
+	} else {
+		v.tasks = tasks
+	}
+	for kind := range v.kinds {
+		v.kinds[kind] = k.KindCount(uint8(kind))
+	}
+	return v
+}
+
+func (v kernelView) equal(o kernelView) bool {
+	tasksEqual := v.tasksErr == o.tasksErr && (v.tasks == nil) == (o.tasks == nil) &&
+		(v.tasks == nil || v.tasks.Equal(o.tasks))
+	return tasksEqual && v.sig == o.sig && v.count == o.count &&
+		v.kinds == o.kinds && serial.Equal(v.objs, o.objs)
+}
+
+// Sealing a kernel keeps every view of its graph and its checkpoint, and
+// leaves one region with references in place and no object slice.
+func TestSealKeepsGraph(t *testing.T) {
+	for name, k := range map[string]*Kernel{"typed": typedKernel(t), "bulk": buildKernel(newEnv(), 5000)} {
+		before := viewOf(k)
+		cpBefore, err := k.Capture()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if k.objects != nil || k.rec == nil || k.rec.Relations != nil {
+			t.Fatalf("%s: sealed kernel holds objects %d, rec %v", name, len(k.objects), k.rec != nil)
+		}
+		rec := k.rec
+		if err := k.Seal(); err != nil || k.rec != rec {
+			t.Fatalf("%s: sealing a sealed kernel re-encoded it (%v)", name, err)
+		}
+		if !viewOf(k).equal(before) {
+			t.Fatalf("%s: Seal changed the kernel's graph", name)
+		}
+		cpAfter, err := k.Capture()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(cpAfter.Baseline) != string(cpBefore.Baseline) ||
+			string(cpAfter.Records.Region) != string(cpBefore.Records.Region) ||
+			cpAfter.CriticalCount != cpBefore.CriticalCount || cpAfter.Seed != cpBefore.Seed {
+			t.Fatalf("%s: a sealed kernel captures a different checkpoint", name)
+		}
+	}
+}
+
+// A child of a sealed kernel shares its region, and cloning costs the
+// same allocations whatever the object count.
+func TestSealedCloneSharesRegion(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, n := range []int{200, 40000} {
+		k := NewKernel(newEnv(), 3, n)
+		if err := k.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if child := k.CloneShared(); child.rec != k.rec || child.objects != nil {
+			t.Fatalf("%d objects: the child does not share the template's region", n)
+		}
+		allocs[n] = testing.AllocsPerRun(20, func() { k.CloneShared() })
+	}
+	if allocs[200] != allocs[40000] {
+		t.Fatalf("CloneShared allocs %v at 200 objects, %v at 40000: want equal", allocs[200], allocs[40000])
+	}
+}
+
+// A child that mutates after Seal gets its own graph; the template, a
+// sibling and the shared region stay as they were.
+func TestSealedChildMutationIsolated(t *testing.T) {
+	k := typedKernel(t)
+	if err := k.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	shared := k.rec
+	region := append([]byte(nil), shared.Region...)
+	want := viewOf(k)
+	a, b := k.CloneShared(), k.CloneShared()
+	if _, err := a.NewTask(0); err != nil {
+		t.Fatal(err)
+	}
+	a.CreateObjects(KindFD, 50)
+	if a.rec != nil || a.ObjectCount() != want.count+51 || a.Signature() == want.sig {
+		t.Fatal("mutation did not give the child its own graph")
+	}
+	if k.rec != shared || !viewOf(k).equal(want) {
+		t.Fatal("mutating a child changed the template")
+	}
+	if b.rec != shared || !viewOf(b).equal(want) {
+		t.Fatal("mutating a child changed its sibling")
+	}
+	if string(region) != string(shared.Region) {
+		t.Fatal("mutating a child wrote into the shared region")
 	}
 }

@@ -3,11 +3,16 @@ package image
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
+
+	"catalyzer/internal/guest"
+	"catalyzer/internal/simenv"
 )
 
 // FuzzDecode hardens the func-image loader: arbitrary bytes must never
-// panic, and valid images must round-trip.
+// panic, every image that decodes must restore by both paths or fail
+// cleanly, and valid images must round-trip.
 func FuzzDecode(f *testing.F) {
 	img := buildImage(f, 300, 32)
 	data, err := img.Encode()
@@ -18,11 +23,20 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not an image"))
 	f.Add(data[:len(data)/2])
+	f.Add(offsetImage(f, img, false, math.MaxUint64-1))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		got, err := Decode(b)
 		if err != nil {
 			return
+		}
+		for name, restore := range map[string]func(*simenv.Env, *guest.Checkpoint) (*guest.Kernel, error){
+			"separated": guest.RestoreSeparated,
+			"baseline":  guest.RestoreBaseline,
+		} {
+			if k, err := restore(newEnv(), got.Kernel); err == nil && k == nil {
+				t.Fatalf("%s restore returned neither a kernel nor an error", name)
+			}
 		}
 		re, err := got.Encode()
 		if err != nil {

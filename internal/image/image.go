@@ -175,12 +175,12 @@ func (img *Image) appendEncoded(dst []byte) ([]byte, error) {
 	sw.blob(cp.Records.Region)
 	sw.u32(uint32(len(cp.Records.Relations)))
 	for _, r := range cp.Records.Relations {
-		sw.u64(r.SlotOffset)
+		sw.u64(uint64(r.SlotOffset))
 		sw.u32(r.Target)
 	}
 	sw.u32(uint32(len(cp.Records.Index)))
 	for _, off := range cp.Records.Index {
-		sw.u64(off)
+		sw.u64(uint64(off))
 	}
 	sw.u32(uint32(len(cp.ConnRecords)))
 	for _, c := range cp.ConnRecords {
@@ -271,6 +271,15 @@ func (sr *sectionReader) table(width uint64) (uint32, []byte, error) {
 	return count, b, err
 }
 
+// regionOffset narrows a u64 offset into the record region to the 32 bits
+// serial.Records holds, rejecting one past the region's end as corrupt.
+func regionOffset(region []byte, off uint64) (uint32, error) {
+	if off > uint64(len(region)) {
+		return 0, fmt.Errorf("%w: offset %d beyond the %d-byte record region", ErrCorrupt, off, len(region))
+	}
+	return uint32(off), nil
+}
+
 // Decode parses a binary func-image. The baseline and record sections of
 // the result alias data, which must not be written afterwards.
 func Decode(data []byte) (*Image, error) {
@@ -322,18 +331,21 @@ func Decode(data []byte) (*Image, error) {
 	rec.Relations = make([]serial.Relation, nrel)
 	for i := range rec.Relations {
 		e := tab[12*i:]
-		rec.Relations[i] = serial.Relation{
-			SlotOffset: binary.LittleEndian.Uint64(e),
-			Target:     binary.LittleEndian.Uint32(e[8:]),
+		off, err := regionOffset(rec.Region, binary.LittleEndian.Uint64(e))
+		if err != nil {
+			return fail(fmt.Sprintf("relation %d", i), err)
 		}
+		rec.Relations[i] = serial.Relation{SlotOffset: off, Target: binary.LittleEndian.Uint32(e[8:])}
 	}
 	nidx, tab, err := sr.table(8)
 	if err != nil {
 		return fail("index", err)
 	}
-	rec.Index = make([]uint64, nidx)
+	rec.Index = make([]uint32, nidx)
 	for i := range rec.Index {
-		rec.Index[i] = binary.LittleEndian.Uint64(tab[8*i:])
+		if rec.Index[i], err = regionOffset(rec.Region, binary.LittleEndian.Uint64(tab[8*i:])); err != nil {
+			return fail(fmt.Sprintf("index entry %d", i), err)
+		}
 	}
 	nconn, err := sr.u32()
 	if err != nil {

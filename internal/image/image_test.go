@@ -2,7 +2,9 @@ package image
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc64"
+	"math"
 	"math/rand/v2"
 	"runtime"
 	"testing"
@@ -146,10 +148,7 @@ func TestDecodeHugeCountAllocatesLittle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := img.Kernel
-	relCount := 4 + 4 + 3*4 + len(img.Name) + len(img.Language) + len(img.Entry) + 8 + 8 +
-		4 + len(cp.Baseline) + 4 + len(cp.Records.Region)
-	idxCount := relCount + 4 + 12*len(cp.Records.Relations)
+	relCount, idxCount := tableOffsets(img)
 	for name, off := range map[string]int{"relations": relCount, "index": idxCount} {
 		bad := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint32(bad[off:], 0xFFFFFFFF)
@@ -162,6 +161,53 @@ func TestDecodeHugeCountAllocatesLittle(t *testing.T) {
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(data)) {
 			t.Fatalf("%s: Decode allocated %d bytes for a %d-byte image", name, got, len(data))
+		}
+	}
+}
+
+// tableOffsets returns where img's encoding holds the relation count and
+// the index count; each count's entries follow it.
+func tableOffsets(img *Image) (relCount, idxCount int) {
+	cp := img.Kernel
+	relCount = 4 + 4 + 3*4 + len(img.Name) + len(img.Language) + len(img.Entry) + 8 + 8 +
+		4 + len(cp.Baseline) + 4 + len(cp.Records.Region)
+	idxCount = relCount + 4 + 12*len(cp.Records.Relations)
+	return relCount, idxCount
+}
+
+// offsetImage encodes img with the slot offset of its first relation, or
+// with index set the offset of its first record, replaced by off.
+func offsetImage(t testing.TB, img *Image, index bool, off uint64) []byte {
+	t.Helper()
+	data, err := img.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	relCount, idxCount := tableOffsets(img)
+	at := relCount + 4
+	if index {
+		at = idxCount + 4
+	}
+	binary.LittleEndian.PutUint64(data[at:], off)
+	return data
+}
+
+// An offset past the record region is corrupt, whatever its size: one
+// near 2^64 once decoded and then wrapped the fixup's bound check into a
+// panic, and one above 2^32 would not survive narrowing to 32 bits.
+func TestDecodeRejectsOffsetPastRegion(t *testing.T) {
+	img := buildImage(t, 100, 16)
+	region := uint64(len(img.Kernel.Records.Region))
+	for _, index := range []bool{false, true} {
+		for _, off := range []uint64{math.MaxUint64 - 1, 1<<32 + 8, region + 1} {
+			got, err := Decode(offsetImage(t, img, index, off))
+			if err == nil {
+				_, rerr := guest.RestoreSeparated(newEnv(), got.Kernel)
+				t.Fatalf("index %v: Decode accepted offset %d of a %d-byte region (restore: %v)", index, off, region, rerr)
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("index %v: offset %d: error %v is not ErrCorrupt", index, off, err)
+			}
 		}
 	}
 }

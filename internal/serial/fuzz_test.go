@@ -62,7 +62,7 @@ func FuzzDecodeRecords(f *testing.F) {
 			step = len(region)/int(nidx) + 1
 		}
 		for off := 0; off < len(region) && len(r.Index) < int(nidx); off += step {
-			r.Index = append(r.Index, uint64(off))
+			r.Index = append(r.Index, uint32(off))
 		}
 		objs, err := DecodeRecords(r)
 		want, wantErr := decodeOneByOne(r)
@@ -94,7 +94,7 @@ func FuzzDecodeRecords(f *testing.F) {
 func decodeOneByOne(rec *Records) ([]Object, error) {
 	objs := make([]Object, 0, len(rec.Index))
 	for i, off := range rec.Index {
-		if off > uint64(len(rec.Region)) {
+		if uint64(off) > uint64(len(rec.Region)) {
 			return nil, fmt.Errorf("record %d offset out of range", i)
 		}
 		o, err := readRecord(bytes.NewReader(rec.Region[off:]))

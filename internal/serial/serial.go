@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 )
 
@@ -82,7 +83,7 @@ const (
 // baselineEncoder is the scratch state of one EncodeBaseline call: the
 // raw record stream, the compressed output and the flate writer.
 type baselineEncoder struct {
-	raw bytes.Buffer
+	raw []byte
 	out bytes.Buffer
 	fw  *flate.Writer
 }
@@ -110,32 +111,32 @@ var baselineEncoders = sync.Pool{New: func() any {
 func EncodeBaseline(objs []Object) ([]byte, Stats, error) {
 	e := baselineEncoders.Get().(*baselineEncoder)
 	defer baselineEncoders.Put(e)
-	e.raw.Reset()
 	e.out.Reset()
 	e.fw.Reset(&e.out)
 
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], baselineMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], formatVersion)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(objs)))
-	e.raw.Write(hdr[:])
+	raw := binary.LittleEndian.AppendUint32(e.raw[:0], baselineMagic)
+	raw = binary.LittleEndian.AppendUint32(raw, formatVersion)
+	raw = binary.LittleEndian.AppendUint64(raw, uint64(len(objs)))
 
 	stats := Stats{Objects: len(objs)}
 	for i := range objs {
-		if objs[i].ID != ObjectID(i) {
-			return nil, Stats{}, fmt.Errorf("serial: object %d has non-dense ID %d", i, objs[i].ID)
+		o := &objs[i]
+		if o.ID != ObjectID(i) {
+			return nil, Stats{}, fmt.Errorf("serial: object %d has non-dense ID %d", i, o.ID)
 		}
-		if err := writeRecord(&e.raw, &objs[i], false); err != nil {
+		if err := checkRecord(o); err != nil {
 			return nil, Stats{}, err
 		}
-		for _, r := range objs[i].Refs {
+		raw = appendRecord(raw, o, false)
+		for _, r := range o.Refs {
 			if r != NilRef {
 				stats.Relations++
 			}
 		}
 	}
+	e.raw = raw
 
-	if _, err := e.fw.Write(e.raw.Bytes()); err != nil {
+	if _, err := e.fw.Write(raw); err != nil {
 		return nil, Stats{}, err
 	}
 	if err := e.fw.Close(); err != nil {
@@ -220,20 +221,23 @@ func DecodeBaseline(data []byte) ([]Object, Stats, error) {
 // --- Catalyzer records format ----------------------------------------------
 
 // Records is an encoded partially-deserialized checkpoint: a contiguous,
-// uncompressed record region plus the relation table.
+// uncompressed record region plus the relation table. The encoders size
+// all three slices exactly (cap == len); offsets are 32-bit, so a region
+// holds at most 4 GiB.
 type Records struct {
 	// Region is the record region, suitable for direct mapping.
 	Region []byte
 	// Relations holds (slot offset within Region → target object index)
-	// pairs for every non-nil pointer field.
+	// pairs for every non-nil pointer field. A region encoded with its
+	// references in place (EncodeRegion) has none.
 	Relations []Relation
 	// Index holds the byte offset of each record within Region.
-	Index []uint64
+	Index []uint32
 }
 
 // Relation is one pointer-fixup entry.
 type Relation struct {
-	SlotOffset uint64 // byte offset of the 4-byte pointer slot in Region
+	SlotOffset uint32 // byte offset of the 4-byte pointer slot in Region
 	Target     uint32 // index of the target object
 }
 
@@ -246,34 +250,74 @@ func (r *Records) Size() int {
 // EncodeRecords lays objects out as contiguous records with zeroed pointer
 // placeholders and builds the relation table (offline preparation, §3.2).
 func EncodeRecords(objs []Object) (*Records, Stats, error) {
-	rec := &Records{}
-	var buf bytes.Buffer
+	rec, err := encodeRecords(objs, true)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	stats := Stats{Objects: len(objs), Relations: len(rec.Relations), Bytes: rec.Size()}
+	return rec, stats, nil
+}
+
+// EncodeRegion lays objects out in the fixed-up form a separated restore
+// produces: the same records as EncodeRecords, but with every reference
+// written in place, so there is no relation table to replay. The region
+// is a live object graph as it is, for DecodeRecords and ValidateRecords.
+func EncodeRegion(objs []Object) (*Records, error) {
+	return encodeRecords(objs, false)
+}
+
+// encodeRecords is EncodeRecords and EncodeRegion: one pass that checks
+// every object and sizes the region and the relation table, then one that
+// fills the region, index and relations, each allocated once at its exact
+// size. With placeholders set, reference slots hold zero and a relation
+// each; without, they hold the reference.
+func encodeRecords(objs []Object, placeholders bool) (*Records, error) {
+	size, nrel := 0, 0
 	for i := range objs {
-		if objs[i].ID != ObjectID(i) {
-			return nil, Stats{}, fmt.Errorf("serial: object %d has non-dense ID %d", i, objs[i].ID)
+		o := &objs[i]
+		if o.ID != ObjectID(i) {
+			return nil, fmt.Errorf("serial: object %d has non-dense ID %d", i, o.ID)
 		}
-		rec.Index = append(rec.Index, uint64(buf.Len()))
-		if err := writeRecord(&buf, &objs[i], true); err != nil {
-			return nil, Stats{}, err
+		if err := checkRecord(o); err != nil {
+			return nil, err
 		}
-		// Pointer slots sit at the record tail: nrefs × 4 bytes.
-		slotBase := uint64(buf.Len()) - uint64(4*len(objs[i].Refs))
-		for fi, ref := range objs[i].Refs {
+		for fi, ref := range o.Refs {
 			if ref == NilRef {
 				continue
 			}
 			if uint64(ref) >= uint64(len(objs)) {
-				return nil, Stats{}, fmt.Errorf("serial: object %d field %d references unknown object %d", i, fi, ref)
+				return nil, fmt.Errorf("serial: object %d field %d references unknown object %d", i, fi, ref)
 			}
-			rec.Relations = append(rec.Relations, Relation{
-				SlotOffset: slotBase + uint64(4*fi),
-				Target:     uint32(ref),
-			})
+			nrel++
+		}
+		size += recordBytes(o)
+	}
+	if uint64(size) > math.MaxUint32 {
+		return nil, fmt.Errorf("serial: %d-byte region exceeds 32-bit offsets", size)
+	}
+	rec := &Records{
+		Region: make([]byte, 0, size),
+		Index:  make([]uint32, len(objs)),
+	}
+	if placeholders {
+		rec.Relations = make([]Relation, 0, nrel)
+	}
+	for i := range objs {
+		o := &objs[i]
+		rec.Index[i] = uint32(len(rec.Region))
+		rec.Region = appendRecord(rec.Region, o, placeholders)
+		if !placeholders {
+			continue
+		}
+		// Pointer slots sit at the record tail: nrefs × 4 bytes.
+		slotBase := uint32(len(rec.Region) - 4*len(o.Refs))
+		for fi, ref := range o.Refs {
+			if ref != NilRef {
+				rec.Relations = append(rec.Relations, Relation{SlotOffset: slotBase + uint32(4*fi), Target: uint32(ref)})
+			}
 		}
 	}
-	rec.Region = buf.Bytes()
-	stats := Stats{Objects: len(objs), Relations: len(rec.Relations), Bytes: rec.Size()}
-	return rec, stats, nil
+	return rec, nil
 }
 
 // FixupRecords replays the relation table against the mapped region,
@@ -282,7 +326,8 @@ func EncodeRecords(objs []Object) (*Records, Stats, error) {
 // parallel work. It reports the number of fixups applied.
 func FixupRecords(rec *Records) (int, error) {
 	for _, rel := range rec.Relations {
-		if rel.SlotOffset+4 > uint64(len(rec.Region)) {
+		// Widened before the add, so no offset can wrap past the check.
+		if uint64(rel.SlotOffset)+4 > uint64(len(rec.Region)) {
 			return 0, fmt.Errorf("serial: relation slot %d out of range", rel.SlotOffset)
 		}
 		binary.LittleEndian.PutUint32(rec.Region[rel.SlotOffset:], rel.Target)
@@ -334,7 +379,7 @@ func DecodeRecords(rec *Records) ([]Object, error) {
 func scanRecords(rec *Records, kinds *[256]int) (int, error) {
 	nrefs := 0
 	for i, off := range rec.Index {
-		if off > uint64(len(rec.Region)) {
+		if uint64(off) > uint64(len(rec.Region)) {
 			return 0, fmt.Errorf("serial: record %d offset out of range", i)
 		}
 		b := rec.Region[off:]
@@ -383,35 +428,36 @@ func recordSpan(b []byte) (plen, nrefs int, err error) {
 	return plen, nrefs, nil
 }
 
-func writeRecord(w *bytes.Buffer, o *Object, placeholders bool) error {
+// recordBytes returns the encoded size of o's record.
+func recordBytes(o *Object) int {
+	return recordHeaderBytes + len(o.Payload) + 2 + 4*len(o.Refs)
+}
+
+// checkRecord reports whether o fits the record wire format.
+func checkRecord(o *Object) error {
 	if len(o.Payload) > 0xFFFF {
-		return fmt.Errorf("payload of object %d too large: %d bytes", o.ID, len(o.Payload))
+		return fmt.Errorf("serial: payload of object %d too large: %d bytes", o.ID, len(o.Payload))
 	}
 	if len(o.Refs) > 0xFFFF {
-		return fmt.Errorf("object %d has too many refs: %d", o.ID, len(o.Refs))
-	}
-	var hdr [7]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(o.ID))
-	hdr[4] = o.Kind
-	binary.LittleEndian.PutUint16(hdr[5:], uint16(len(o.Payload)))
-	w.Write(hdr[:])
-	w.Write(o.Payload)
-	var nr [2]byte
-	binary.LittleEndian.PutUint16(nr[:], uint16(len(o.Refs)))
-	w.Write(nr[:])
-	var slot [4]byte
-	for _, ref := range o.Refs {
-		switch {
-		case ref == NilRef:
-			binary.LittleEndian.PutUint32(slot[:], uint32(NilRef))
-		case placeholders:
-			binary.LittleEndian.PutUint32(slot[:], 0)
-		default:
-			binary.LittleEndian.PutUint32(slot[:], uint32(ref))
-		}
-		w.Write(slot[:])
+		return fmt.Errorf("serial: object %d has too many refs: %d", o.ID, len(o.Refs))
 	}
 	return nil
+}
+
+// appendRecord appends o's record, which must pass checkRecord, to b.
+func appendRecord(b []byte, o *Object, placeholders bool) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(o.ID))
+	b = append(b, o.Kind)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(o.Payload)))
+	b = append(b, o.Payload...)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(o.Refs)))
+	for _, ref := range o.Refs {
+		if placeholders && ref != NilRef {
+			ref = 0
+		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(ref))
+	}
+	return b
 }
 
 func readRecord(r *bytes.Reader) (Object, error) {

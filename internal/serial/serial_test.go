@@ -5,7 +5,9 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -255,9 +257,14 @@ func TestDecodeRecordsCorruptRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Relations = append(rec.Relations, Relation{SlotOffset: uint64(len(rec.Region)) + 100, Target: 0})
-	if _, err := FixupRecords(rec); err == nil {
-		t.Fatal("FixupRecords accepted out-of-range slot")
+	// The offsets at the top of the range must not wrap the bound check
+	// around and let the write through.
+	for _, off := range []uint32{uint32(len(rec.Region)) - 3, uint32(len(rec.Region)) + 100, math.MaxUint32 - 3, math.MaxUint32} {
+		bad := *rec
+		bad.Relations = append(append([]Relation(nil), rec.Relations...), Relation{SlotOffset: off, Target: 0})
+		if _, err := FixupRecords(&bad); err == nil {
+			t.Fatalf("FixupRecords accepted slot offset %d of a %d-byte region", off, len(rec.Region))
+		}
 	}
 }
 
@@ -334,8 +341,32 @@ func TestRelationCountProperty(t *testing.T) {
 	}
 }
 
-// referenceBaseline encodes objs with a fresh flate writer, as
-// EncodeBaseline did before it pooled its compressor.
+// writeRecordRef is the reference record writer: one field at a time
+// into a bytes.Buffer, references in place or, with placeholders set,
+// zeroed unless nil.
+func writeRecordRef(w *bytes.Buffer, o *Object, placeholders bool) {
+	var hdr [recordHeaderBytes]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(o.ID))
+	hdr[4] = o.Kind
+	binary.LittleEndian.PutUint16(hdr[5:], uint16(len(o.Payload)))
+	w.Write(hdr[:])
+	w.Write(o.Payload)
+	var nr [2]byte
+	binary.LittleEndian.PutUint16(nr[:], uint16(len(o.Refs)))
+	w.Write(nr[:])
+	var slot [4]byte
+	for _, ref := range o.Refs {
+		if placeholders && ref != NilRef {
+			ref = 0
+		}
+		binary.LittleEndian.PutUint32(slot[:], uint32(ref))
+		w.Write(slot[:])
+	}
+}
+
+// referenceBaseline encodes objs with a fresh flate writer and the
+// reference record writer, as EncodeBaseline did before it pooled its
+// compressor and appended its records.
 func referenceBaseline(t *testing.T, objs []Object) []byte {
 	t.Helper()
 	var raw bytes.Buffer
@@ -345,9 +376,7 @@ func referenceBaseline(t *testing.T, objs []Object) []byte {
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(objs)))
 	raw.Write(hdr[:])
 	for i := range objs {
-		if err := writeRecord(&raw, &objs[i], false); err != nil {
-			t.Fatal(err)
-		}
+		writeRecordRef(&raw, &objs[i], false)
 	}
 	var out bytes.Buffer
 	fw, err := flate.NewWriter(&out, flate.BestSpeed)
@@ -426,5 +455,89 @@ func TestEncodeBaselineConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// Both record encoders write the bytes the reference writer writes, and
+// size the region, the index and the relation table exactly.
+func TestEncodeRecordsExactSize(t *testing.T) {
+	for i, n := range []int{0, 1, 300, 5000} {
+		objs := genGraph(n, int64(100+i))
+		var want bytes.Buffer
+		var wantIndex []uint32
+		var wantRels []Relation
+		for j := range objs {
+			wantIndex = append(wantIndex, uint32(want.Len()))
+			writeRecordRef(&want, &objs[j], true)
+			slots := want.Len() - 4*len(objs[j].Refs)
+			for fi, ref := range objs[j].Refs {
+				if ref != NilRef {
+					wantRels = append(wantRels, Relation{SlotOffset: uint32(slots + 4*fi), Target: uint32(ref)})
+				}
+			}
+		}
+		rec, stats, err := EncodeRecords(objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec.Region, want.Bytes()) || !slices.Equal(rec.Index, wantIndex) || !slices.Equal(rec.Relations, wantRels) {
+			t.Fatalf("graph %d (%d objects): EncodeRecords differs from the reference writer", i, n)
+		}
+		if stats.Bytes != rec.Size() || stats.Relations != len(rec.Relations) {
+			t.Fatalf("graph %d: stats %+v disagree with the records", i, stats)
+		}
+		region, err := EncodeRegion(objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, r := range map[string]*Records{"EncodeRecords": rec, "EncodeRegion": region} {
+			if cap(r.Region) != len(r.Region) || cap(r.Index) != len(r.Index) || cap(r.Relations) != len(r.Relations) {
+				t.Fatalf("graph %d %s: caps %d/%d/%d for lens %d/%d/%d, want equal", i, name,
+					cap(r.Region), cap(r.Index), cap(r.Relations), len(r.Region), len(r.Index), len(r.Relations))
+			}
+		}
+	}
+}
+
+// EncodeRegion writes the region a fixup of EncodeRecords' output
+// produces, with the same index and no relation table.
+func TestEncodeRegionIsFixedUpRecords(t *testing.T) {
+	objs := genGraph(2000, 21)
+	rec, _, err := EncodeRecords(objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FixupRecords(rec); err != nil {
+		t.Fatal(err)
+	}
+	region, err := EncodeRegion(objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(region.Region, rec.Region) || !slices.Equal(region.Index, rec.Index) || region.Relations != nil {
+		t.Fatal("EncodeRegion differs from the fixed-up records")
+	}
+	got, err := DecodeRecords(region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(got, objs) {
+		t.Fatal("EncodeRegion does not decode to its graph")
+	}
+	if _, err := EncodeRegion([]Object{{ID: 0, Refs: []ObjectID{1}}}); err == nil {
+		t.Fatal("EncodeRegion accepted a dangling reference")
+	}
+}
+
+// BenchmarkEncodeRecords times the offline records encoding of a
+// 20,000-object graph.
+func BenchmarkEncodeRecords(b *testing.B) {
+	objs := genGraph(20000, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := EncodeRecords(objs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
