@@ -132,12 +132,13 @@ bench-compare:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# One iteration of every internal/memory, internal/serial and
-# internal/guest benchmark, so they keep compiling and running
-# (BenchmarkForkTouchRelease is a SPECjbb-sized fork, touch and release;
-# BenchmarkEncodeRecords encodes a 20,000-object checkpoint).
+# One iteration of every internal/memory, internal/serial,
+# internal/guest and internal/fleet benchmark, so they keep compiling and
+# running (BenchmarkForkTouchRelease is a SPECjbb-sized fork, touch and
+# release; BenchmarkEncodeRecords encodes a 20,000-object checkpoint;
+# BenchmarkPlace places one request on a 10- and a 100-machine ring).
 bench-memory:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/memory/ ./internal/serial/ ./internal/guest/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/memory/ ./internal/serial/ ./internal/guest/ ./internal/fleet/
 
 ci: vet fmt-check staticcheck lint race examples chaos-supervision chaos-fleet chaos-gray chaos-zone chaos-restart chaos-fleet-big fuzz-smoke bench-test bench-memory
 

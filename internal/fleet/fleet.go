@@ -428,7 +428,8 @@ type Stats struct {
 // member is one machine's membership record.
 type member struct {
 	idx     int
-	zone    int // failure domain (idx % cfg.Zones); survives Restart
+	key     string // machineKey(idx), formatted once for keyed fault draws
+	zone    int    // failure domain (idx % cfg.Zones); survives Restart
 	node    platform.Node
 	state   State
 	crashed bool // down due to crash: state lost, needs Restart
@@ -474,6 +475,8 @@ type Fleet struct {
 	samplesTotal int
 	tokens       float64
 	lat          *platform.Metrics
+	// scoreBuf is healthyMedianLocked's reusable score buffer.
+	scoreBuf []float64
 
 	// Scenario state (guarded by mu): the compiled timeline, its anchor
 	// on the fleet clock, the next-step cursor, and the zones currently
@@ -527,7 +530,7 @@ func New(cfg Config, build func(idx int) (platform.Node, error)) (*Fleet, error)
 			return nil, fmt.Errorf("%w: machine factory returned nil", ErrBadConfig)
 		}
 		n.InstallFaults(f.inj)
-		f.members = append(f.members, &member{idx: i, zone: i % cfg.Zones, node: n, state: StateUp})
+		f.members = append(f.members, &member{idx: i, key: machineKey(i), zone: i % cfg.Zones, node: n, state: StateUp})
 	}
 	f.rebuildRingLocked()
 	f.stats.Served = make([]int, cfg.Machines)
@@ -683,45 +686,59 @@ func (f *Fleet) memberAt(idx int) *member {
 // machine (excluding already-tried ones) whose live-instance count is
 // under the bounded-load cap, spilling clockwise past overloaded
 // machines; when every candidate is at the cap it degrades to
-// deterministic least-loaded with the lowest index winning ties.
-func (f *Fleet) placeLocked(name string, exclude map[int]bool) (int, bool) {
-	var cands []int
-	for _, idx := range f.ring.walk(name) {
-		if !exclude[idx] && f.members[idx].state == StateUp {
-			cands = append(cands, idx)
+// deterministic least-loaded with the lowest index winning ties. It
+// reads the function's cached ring order in two passes — eligible
+// count and live total for the cap, then the pick — so a placement
+// allocates nothing (mu held).
+func (f *Fleet) placeLocked(name string, exclude []int) (int, bool) {
+	order := f.ring.walk(name)
+	eligible, total := 0, 0
+	for _, idx := range order {
+		if f.placeableLocked(idx, exclude) {
+			eligible++
+			total += f.members[idx].node.LiveInstances()
 		}
 	}
-	if len(cands) == 0 {
+	if eligible == 0 {
 		return -1, false
 	}
-	total := 0
-	for _, idx := range cands {
-		total += f.members[idx].node.LiveInstances()
-	}
-	capacity := int(math.Ceil(f.cfg.LoadFactor * float64(total+1) / float64(len(cands))))
-	for i, idx := range cands {
+	capacity := int(math.Ceil(f.cfg.LoadFactor * float64(total+1) / float64(eligible)))
+	i := 0
+	for _, idx := range order {
+		if !f.placeableLocked(idx, exclude) {
+			continue
+		}
 		if f.members[idx].node.LiveInstances() < capacity {
 			if i > 0 {
 				f.stats.Spills++
 			}
 			return idx, true
 		}
+		i++
 	}
 	// Defensive: every candidate is at the cap. Degrade to deterministic
 	// least-loaded.
 	f.stats.Spills++
-	return f.leastLoadedLocked(cands), true
+	return f.leastLoadedLocked(order, exclude), true
 }
 
-// leastLoadedLocked picks the candidate with the fewest live instances;
-// equal-load machines tie-break to the lowest index so same-seed fleet
-// runs are byte-identical (mu held).
-func (f *Fleet) leastLoadedLocked(cands []int) int {
-	sorted := append([]int(nil), cands...)
-	sort.Ints(sorted)
+// placeableLocked reports whether machine idx may take a placement: Up
+// and not in exclude (mu held).
+func (f *Fleet) placeableLocked(idx int, exclude []int) bool {
+	return f.members[idx].state == StateUp && !contains(exclude, idx)
+}
+
+// leastLoadedLocked picks the placeable candidate (see placeableLocked)
+// with the fewest live instances, or -1 when none is; equal-load
+// machines tie-break to the lowest index so same-seed fleet runs are
+// byte-identical (mu held).
+func (f *Fleet) leastLoadedLocked(cands, exclude []int) int {
 	best, bestLive := -1, 0
-	for _, idx := range sorted {
-		if l := f.members[idx].node.LiveInstances(); best < 0 || l < bestLive {
+	for _, idx := range cands {
+		if !f.placeableLocked(idx, exclude) {
+			continue
+		}
+		if l := f.members[idx].node.LiveInstances(); best < 0 || l < bestLive || (l == bestLive && idx < best) {
 			best, bestLive = idx, l
 		}
 	}
@@ -782,7 +799,10 @@ func (f *Fleet) Invoke(ctx context.Context, name string, sys platform.System) (*
 	}
 	defer f.sup.Poll()
 	f.tickScenario()
-	tried := make(map[int]bool)
+	// tried holds the machines that failed this invocation; a few
+	// failovers fit the stack array.
+	var triedBuf [4]int
+	tried := triedBuf[:0]
 	var lastErr error
 	for failovers := 0; ; failovers++ {
 		if cerr := admission.CtxErr(ctx); cerr != nil {
@@ -832,7 +852,7 @@ func (f *Fleet) Invoke(ctx context.Context, name string, sys platform.System) (*
 				return nil, idx, err
 			}
 			lastErr = err
-			tried[idx] = true
+			tried = append(tried, idx)
 			f.mu.Lock()
 			f.stats.Failovers++
 			f.mu.Unlock()
@@ -867,14 +887,14 @@ func (f *Fleet) dispatchFaults(m *member) error {
 	// The scenario sites are keyed per machine and armed at rate 1 by
 	// timeline steps (no RNG consumed), so a dispatch racing the step
 	// application sees the outage too.
-	if ferr := f.inj.CheckKeyed(faults.SiteZoneDown, machineKey(m.idx)); ferr != nil {
+	if ferr := f.inj.CheckKeyed(faults.SiteZoneDown, m.key); ferr != nil {
 		f.mu.Lock()
 		f.stats.ZoneDownDispatches++
 		f.mu.Unlock()
 		f.markDown(m, false)
 		return fmt.Errorf("%w: machine %d: %w", ErrMachineDown, m.idx, ferr)
 	}
-	if ferr := f.inj.CheckKeyed(faults.SitePartitionSplit, machineKey(m.idx)); ferr != nil {
+	if ferr := f.inj.CheckKeyed(faults.SitePartitionSplit, m.key); ferr != nil {
 		f.mu.Lock()
 		f.stats.SplitDispatches++
 		f.mu.Unlock()
@@ -900,13 +920,13 @@ func (f *Fleet) dispatchFaults(m *member) error {
 	}
 	// The gray sites are drawn with the machine's key so a single sick
 	// member can be armed without perturbing the others' schedules.
-	if ferr := f.inj.CheckKeyed(faults.SiteMachineGraySlow, machineKey(m.idx)); ferr != nil {
+	if ferr := f.inj.CheckKeyed(faults.SiteMachineGraySlow, m.key); ferr != nil {
 		m.node.Charge(f.cfg.GraySlowPenalty)
 		f.mu.Lock()
 		f.stats.GrayDispatches++
 		f.mu.Unlock()
 	}
-	if ferr := f.inj.CheckKeyed(faults.SiteMachineFlaky, machineKey(m.idx)); ferr != nil {
+	if ferr := f.inj.CheckKeyed(faults.SiteMachineFlaky, m.key); ferr != nil {
 		f.mu.Lock()
 		f.stats.FlakyDispatches++
 		f.mu.Unlock()
@@ -1117,19 +1137,18 @@ func (f *Fleet) probeMembership() (checked, evicted int) {
 		f.mu.Lock()
 		state, crashed := m.state, m.crashed
 		f.mu.Unlock()
-		key := machineKey(m.idx)
 		switch {
 		case state == StateUp:
 			checked++
 			// Scenario outages first: a downed zone takes the member out
 			// immediately (state intact); a split accrues misses like a
 			// transient partition. Both keyed, rate 1, no RNG drawn.
-			if ferr := f.inj.CheckKeyed(faults.SiteZoneDown, key); ferr != nil {
+			if ferr := f.inj.CheckKeyed(faults.SiteZoneDown, m.key); ferr != nil {
 				f.markDown(m, false)
 				evicted++
 				continue
 			}
-			if ferr := f.inj.CheckKeyed(faults.SitePartitionSplit, key); ferr != nil {
+			if ferr := f.inj.CheckKeyed(faults.SitePartitionSplit, m.key); ferr != nil {
 				f.noteMiss(m)
 				f.mu.Lock()
 				down := m.state == StateDown
@@ -1162,8 +1181,8 @@ func (f *Fleet) probeMembership() (checked, evicted int) {
 			// A member inside a still-downed zone or active split must
 			// not rejoin on a clean transient-partition draw: its outage
 			// site stays armed until the scenario heals.
-			if f.inj.CheckKeyed(faults.SiteZoneDown, key) != nil ||
-				f.inj.CheckKeyed(faults.SitePartitionSplit, key) != nil {
+			if f.inj.CheckKeyed(faults.SiteZoneDown, m.key) != nil ||
+				f.inj.CheckKeyed(faults.SitePartitionSplit, m.key) != nil {
 				continue
 			}
 			if f.inj.Check(faults.SiteMachinePartition) == nil {

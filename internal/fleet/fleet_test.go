@@ -506,7 +506,7 @@ func TestLeastLoadedTieBreaksLowestIndex(t *testing.T) {
 				want = c
 			}
 		}
-		if got := f.leastLoadedLocked(cands); got != want {
+		if got := f.leastLoadedLocked(cands, nil); got != want {
 			t.Fatalf("equal-load tie over %v broke to machine %d, want %d", cands, got, want)
 		}
 	}
@@ -515,7 +515,9 @@ func TestLeastLoadedTieBreaksLowestIndex(t *testing.T) {
 func TestRingDeterministicAndRebalances(t *testing.T) {
 	a := buildRing([]int{0, 1, 2, 3}, 16)
 	b := buildRing([]int{0, 1, 2, 3}, 16)
-	if !reflect.DeepEqual(a, b) {
+	// Compare the circles only: the per-key order cache is filled by
+	// walks, not by construction.
+	if !reflect.DeepEqual(a.vnodes, b.vnodes) {
 		t.Fatal("identical member sets built different rings")
 	}
 	walkA := a.walk("java-hello")

@@ -37,7 +37,7 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"catalyzer/internal/faults"
 	"catalyzer/internal/platform"
@@ -85,18 +85,20 @@ func (f *Fleet) feedScoreLocked(m *member, lat simtime.Duration) {
 // healthyMedianLocked is the median EWMA score over Up, non-ejected
 // members with at least one sample, excluding excludeIdx (pass -1 to
 // exclude nobody). Excluding the member under judgment keeps one gross
-// outlier from dragging its own baseline up (mu held).
+// outlier from dragging its own baseline up. It sorts in f.scoreBuf, so
+// it allocates only while that buffer grows (mu held).
 func (f *Fleet) healthyMedianLocked(excludeIdx int) float64 {
-	var scores []float64
+	scores := f.scoreBuf[:0]
 	for _, m := range f.members {
 		if m.idx != excludeIdx && m.state == StateUp && !m.ejected && m.samples > 0 {
 			scores = append(scores, m.score)
 		}
 	}
+	f.scoreBuf = scores
 	if len(scores) == 0 {
 		return 0
 	}
-	sort.Float64s(scores)
+	slices.Sort(scores)
 	mid := len(scores) / 2
 	if len(scores)%2 == 1 {
 		return scores[mid]
@@ -246,20 +248,20 @@ func (f *Fleet) anyEjectedLocked() bool {
 // ring is empty), brownout fallback to the least-loaded untried
 // ejected member, so a heavily-ejected fleet serves slow instead of
 // failing (mu held).
-func (f *Fleet) placeForInvokeLocked(name string, tried map[int]bool) (idx int, brownout, ok bool) {
+func (f *Fleet) placeForInvokeLocked(name string, tried []int) (idx int, brownout, ok bool) {
 	if idx, ok := f.placeLocked(name, tried); ok {
 		return idx, false, true
 	}
 	var ejected []int
 	for _, m := range f.members {
-		if m.state == StateUp && m.ejected && !tried[m.idx] {
+		if m.ejected {
 			ejected = append(ejected, m.idx)
 		}
 	}
-	if len(ejected) == 0 {
-		return -1, false, false
+	if idx := f.leastLoadedLocked(ejected, tried); idx >= 0 {
+		return idx, true, true
 	}
-	return f.leastLoadedLocked(ejected), true, true
+	return -1, false, false
 }
 
 // runAttempt performs one dispatch on m: fault draws, artifact
@@ -304,18 +306,16 @@ func (f *Fleet) runAttempt(ctx context.Context, m *member, name string, sys plat
 // token; a dry bucket or no distinct healthy candidate means no hedge.
 // Returns the winning machine, result, and the invocation's effective
 // latency.
-func (f *Fleet) maybeHedge(ctx context.Context, name string, sys platform.System, prim *member, res *platform.Result, lat simtime.Duration, tried map[int]bool) (int, *platform.Result, simtime.Duration) {
+func (f *Fleet) maybeHedge(ctx context.Context, name string, sys platform.System, prim *member, res *platform.Result, lat simtime.Duration, tried []int) (int, *platform.Result, simtime.Duration) {
 	f.mu.Lock()
 	delay, ok := f.hedgeDelayLocked()
 	if !ok || lat <= delay {
 		f.mu.Unlock()
 		return prim.idx, res, lat
 	}
-	exclude := map[int]bool{prim.idx: true}
-	for k := range tried {
-		exclude[k] = true
-	}
-	hidx, ok := f.placeLocked(name, exclude)
+	// The append may write into Invoke's stack array past tried's
+	// length; Invoke never reads tried again after the hedge.
+	hidx, ok := f.placeLocked(name, append(tried, prim.idx))
 	f.mu.Unlock()
 	if !ok {
 		return prim.idx, res, lat
@@ -341,7 +341,7 @@ func (f *Fleet) maybeHedge(ctx context.Context, name string, sys platform.System
 		f.stats.HedgeWins++
 		f.mu.Unlock()
 	}
-	if f.inj.CheckKeyed(faults.SiteHedgeLoserLingers, machineKey(loser.idx)) != nil {
+	if f.inj.CheckKeyed(faults.SiteHedgeLoserLingers, loser.key) != nil {
 		loser.node.Charge(lingerPenalty)
 		f.mu.Lock()
 		f.stats.HedgeLosersLingered++
@@ -372,13 +372,13 @@ func (f *Fleet) probeEjected() (checked, evicted int) {
 		checked++
 		start := m.node.Now()
 		m.node.Charge(probeCost)
-		if f.inj.CheckKeyed(faults.SiteMachineGraySlow, machineKey(m.idx)) != nil {
+		if f.inj.CheckKeyed(faults.SiteMachineGraySlow, m.key) != nil {
 			m.node.Charge(f.cfg.GraySlowPenalty)
 			f.mu.Lock()
 			f.stats.GrayDispatches++
 			f.mu.Unlock()
 		}
-		flaky := f.inj.CheckKeyed(faults.SiteMachineFlaky, machineKey(m.idx)) != nil
+		flaky := f.inj.CheckKeyed(faults.SiteMachineFlaky, m.key) != nil
 		lat := m.node.Now() - start
 		f.mu.Lock()
 		if flaky {

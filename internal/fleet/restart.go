@@ -78,7 +78,7 @@ func (f *Fleet) Recover(ctx context.Context) (*RecoverReport, error) {
 	copies := make(map[string][]replicaCopy)
 	var names []string
 	for _, m := range members {
-		if ferr := f.inj.CheckKeyed(faults.SiteRestartTornStore, machineKey(m.idx)); ferr != nil {
+		if ferr := f.inj.CheckKeyed(faults.SiteRestartTornStore, m.key); ferr != nil {
 			f.mu.Lock()
 			f.stats.TornStores++
 			f.mu.Unlock()

@@ -16,9 +16,22 @@ import (
 // Everything about the ring is deterministic: virtual-node hashes
 // depend only on (machine index, vnode index), sorting ties break on
 // the lower machine index, and walks dedup in circle order. Two fleets
-// built from the same member set produce byte-identical rings.
+// built from the same member set produce identical circles.
+//
+// A ring is immutable once built: the fleet replaces it on every
+// membership change or ejection rather than editing it. So walk
+// computes each key's order once and memoizes it for the life of the
+// ring; the cache is dropped with the ring it belongs to. The fleet
+// mutex guards the cache.
 type ring struct {
 	vnodes []vnode
+	// machines is one past the largest member index: the size of the
+	// seen-set order dedups with.
+	machines int
+	// orders memoizes walk per key. Only placement walks through it,
+	// and placement only sees deployed names, so it holds at most one
+	// entry per deployed function.
+	orders map[string][]int
 }
 
 type vnode struct {
@@ -37,8 +50,9 @@ func hash64(s string) uint64 {
 // buildRing hashes vnodesPer virtual nodes for each machine index in
 // members onto the circle.
 func buildRing(members []int, vnodesPer int) *ring {
-	r := &ring{}
+	r := &ring{orders: make(map[string][]int)}
 	for _, m := range members {
+		r.machines = max(r.machines, m+1)
 		for v := 0; v < vnodesPer; v++ {
 			r.vnodes = append(r.vnodes, vnode{
 				hash:    hash64(fmt.Sprintf("machine-%d/vnode-%d", m, v)),
@@ -57,14 +71,29 @@ func buildRing(members []int, vnodesPer int) *ring {
 
 // walk returns every distinct machine in clockwise circle order starting
 // from key's hash point. The first entry is the key's preferred machine;
-// the rest are its failover/replica order.
+// the rest are its failover/replica order. The order is computed on the
+// key's first walk and cached for the life of the ring: the returned
+// slice is shared and read-only.
 func (r *ring) walk(key string) []int {
+	if o, ok := r.orders[key]; ok {
+		return o
+	}
+	o := r.order(key)
+	if o != nil {
+		r.orders[key] = o
+	}
+	return o
+}
+
+// order computes key's walk without touching the cache: the replica
+// paths use it, since Deploy sees names that may never deploy.
+func (r *ring) order(key string) []int {
 	if len(r.vnodes) == 0 {
 		return nil
 	}
 	h := hash64(key)
 	start := sort.Search(len(r.vnodes), func(i int) bool { return r.vnodes[i].hash >= h })
-	seen := make(map[int]bool)
+	seen := make([]bool, r.machines)
 	var out []int
 	for n := 0; n < len(r.vnodes); n++ {
 		v := r.vnodes[(start+n)%len(r.vnodes)]

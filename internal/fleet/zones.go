@@ -84,7 +84,7 @@ func (f *Fleet) pickReplicaLocked(name string, keep []int) (int, bool) {
 		covered[f.members[idx].zone] = true
 	}
 	first := -1
-	for _, c := range f.ring.walk(name) {
+	for _, c := range f.ring.order(name) {
 		if contains(keep, c) {
 			continue
 		}
@@ -144,7 +144,7 @@ func (f *Fleet) rebalanceZonesLocked(name string, keep []int, plan *[]repair) []
 			return keep
 		}
 		cand := -1
-		for _, c := range f.ring.walk(name) {
+		for _, c := range f.ring.order(name) {
 			if !contains(keep, c) && !covered[f.members[c].zone] {
 				cand = c
 				break
@@ -254,7 +254,7 @@ func (f *Fleet) applyZoneOutage(zones []string, site faults.Site) {
 	}
 	f.mu.Unlock()
 	for _, m := range hit {
-		f.inj.ArmKeyed(site, machineKey(m.idx), 1)
+		f.inj.ArmKeyed(site, m.key, 1)
 	}
 	if site != faults.SiteZoneDown {
 		return
@@ -264,7 +264,7 @@ func (f *Fleet) applyZoneOutage(zones []string, site faults.Site) {
 		f.mu.Lock()
 		up := m.state == StateUp
 		f.mu.Unlock()
-		if up && f.inj.CheckKeyed(faults.SiteZoneDown, machineKey(m.idx)) != nil {
+		if up && f.inj.CheckKeyed(faults.SiteZoneDown, m.key) != nil {
 			down = append(down, m)
 		}
 	}
@@ -287,7 +287,7 @@ func (f *Fleet) applyRollingCrash() {
 	if victim == nil {
 		return
 	}
-	key := machineKey(victim.idx)
+	key := victim.key
 	f.inj.ArmKeyed(faults.SiteRollingCrash, key, 1)
 	if f.inj.CheckKeyed(faults.SiteRollingCrash, key) != nil {
 		f.inj.DisarmKeyed(faults.SiteRollingCrash, key)
@@ -333,8 +333,8 @@ func (f *Fleet) applyHeal() {
 	}
 	f.mu.Unlock()
 	for _, m := range hit {
-		f.inj.DisarmKeyed(faults.SiteZoneDown, machineKey(m.idx))
-		f.inj.DisarmKeyed(faults.SitePartitionSplit, machineKey(m.idx))
+		f.inj.DisarmKeyed(faults.SiteZoneDown, m.key)
+		f.inj.DisarmKeyed(faults.SitePartitionSplit, m.key)
 	}
 	for _, m := range hit {
 		f.mu.Lock()
