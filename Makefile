@@ -133,12 +133,15 @@ bench-test:
 	cd bench && $(GO) test ./...
 
 # One iteration of every internal/memory, internal/serial,
-# internal/guest and internal/fleet benchmark, so they keep compiling and
-# running (BenchmarkForkTouchRelease is a SPECjbb-sized fork, touch and
-# release; BenchmarkEncodeRecords encodes a 20,000-object checkpoint;
-# BenchmarkPlace places one request on a 10- and a 100-machine ring).
+# internal/guest, internal/fleet and internal/obs benchmark, so they keep
+# compiling and running (BenchmarkForkTouchRelease is a SPECjbb-sized
+# fork, touch and release; BenchmarkEncodeRecords encodes a 20,000-object
+# checkpoint; BenchmarkPlace places one request on a 10- and a
+# 100-machine ring; BenchmarkStats reads fleet stats after 10^3 and 10^6
+# recorded invocations; BenchmarkObserve records into a latency
+# histogram).
 bench-memory:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/memory/ ./internal/serial/ ./internal/guest/ ./internal/fleet/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/memory/ ./internal/serial/ ./internal/guest/ ./internal/fleet/ ./internal/obs/
 
 ci: vet fmt-check staticcheck lint race examples chaos-supervision chaos-fleet chaos-gray chaos-zone chaos-restart chaos-fleet-big fuzz-smoke bench-test bench-memory
 

@@ -88,6 +88,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"os/signal"
 	"path/filepath"
 	"sort"
@@ -162,10 +163,10 @@ func fail(w http.ResponseWriter, err error) {
 
 // requestCtx derives the invocation context from the HTTP request: the
 // request's own context (canceled when the client disconnects) bounded
-// by an optional deadline_ms query parameter.
-func requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
+// by an optional deadline_ms parameter of the request's parsed query q.
+func requestCtx(r *http.Request, q url.Values) (context.Context, context.CancelFunc, error) {
 	ctx := r.Context()
-	v := r.URL.Query().Get("deadline_ms")
+	v := q.Get("deadline_ms")
 	if v == "" {
 		return ctx, func() {}, nil
 	}
@@ -253,8 +254,9 @@ func (s *server) deploy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) invoke(w http.ResponseWriter, r *http.Request) {
-	fn := r.URL.Query().Get("fn")
-	boot := r.URL.Query().Get("boot")
+	q := r.URL.Query()
+	fn := q.Get("fn")
+	boot := q.Get("boot")
 	if boot == "" {
 		boot = string(catalyzer.ForkBoot)
 	}
@@ -262,7 +264,7 @@ func (s *server) invoke(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing fn parameter", http.StatusBadRequest)
 		return
 	}
-	ctx, cancel, err := requestCtx(r)
+	ctx, cancel, err := requestCtx(r, q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -297,13 +299,14 @@ func (s *server) deployCustom(w http.ResponseWriter, r *http.Request) {
 
 // train deploys a function's pre-initialized variant (§6.7).
 func (s *server) train(w http.ResponseWriter, r *http.Request) {
-	fn := r.URL.Query().Get("fn")
+	q := r.URL.Query()
+	fn := q.Get("fn")
 	if fn == "" {
 		http.Error(w, "missing fn parameter", http.StatusBadRequest)
 		return
 	}
 	fraction := 0.5
-	if v := r.URL.Query().Get("fraction"); v != "" {
+	if v := q.Get("fraction"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			http.Error(w, "bad fraction", http.StatusBadRequest)

@@ -40,6 +40,7 @@ import (
 
 	"catalyzer/internal/admission"
 	"catalyzer/internal/faults"
+	"catalyzer/internal/obs"
 	"catalyzer/internal/platform"
 	"catalyzer/internal/simtime"
 	"catalyzer/internal/supervise"
@@ -415,7 +416,11 @@ type Stats struct {
 	// InvokeP50/InvokeP99/InvokeMax digest the effective per-invocation
 	// latency (hedge-adjusted: a winning hedge caps the invocation at
 	// delay + hedge latency) across everything served. The wire carries
-	// them as invoke_p50_ms, invoke_p99_ms and invoke_max_ms.
+	// them as invoke_p50_ms, invoke_p99_ms and invoke_max_ms. InvokeMax is
+	// exact; the percentiles come from a fixed-size histogram
+	// (obs.Histogram), never below the exact nearest-rank value and above
+	// it by less than 1/128 of it. Exact percentiles are for batch code,
+	// which keeps its own samples in platform.Metrics.
 	InvokeP50 simtime.Duration `json:"-"`
 	InvokeP99 simtime.Duration `json:"-"`
 	InvokeMax simtime.Duration `json:"-"`
@@ -471,10 +476,10 @@ type Fleet struct {
 
 	// Gray-failure defense state (guarded by mu): the fleet-wide scored
 	// sample count, the retry/hedge token bucket, and the effective
-	// per-invocation latency digest.
+	// per-invocation latency histogram.
 	samplesTotal int
 	tokens       float64
-	lat          *platform.Metrics
+	lat          obs.Histogram
 	// scoreBuf is healthyMedianLocked's reusable score buffer.
 	scoreBuf []float64
 
@@ -535,7 +540,6 @@ func New(cfg Config, build func(idx int) (platform.Node, error)) (*Fleet, error)
 	f.rebuildRingLocked()
 	f.stats.Served = make([]int, cfg.Machines)
 	f.tokens = float64(cfg.BudgetBurst)
-	f.lat = platform.NewMetrics("fleet-invoke")
 	f.sup = supervise.New(f.now, supervise.Config{})
 	f.sup.Register("membership", f.probeMembership)
 	f.sup.RegisterEvery("ejection", cfg.EjectProbeInterval, f.probeEjected)
@@ -870,7 +874,7 @@ func (f *Fleet) Invoke(ctx context.Context, name string, sys platform.System) (*
 		if brownout {
 			f.stats.BrownoutServes++
 		}
-		f.lat.ObserveDuration(effective)
+		f.lat.Observe(effective)
 		f.mu.Unlock()
 		return res, winner, nil
 	}
@@ -1379,11 +1383,9 @@ func (f *Fleet) Stats() Stats {
 			out.Down++
 		}
 	}
-	if f.lat.Count() > 0 {
-		p := f.lat.Percentiles(50, 99)
-		out.InvokeP50, out.InvokeP99 = p[0], p[1]
-		out.InvokeMax = f.lat.Max()
-	}
+	out.InvokeP50 = f.lat.Percentile(50)
+	out.InvokeP99 = f.lat.Percentile(99)
+	out.InvokeMax = f.lat.Max()
 	return out
 }
 

@@ -8,8 +8,10 @@ import (
 )
 
 // Metrics aggregates invocation latencies for one label (a system, a
-// policy, a function — caller's choice). Percentiles are exact (sorted
-// samples), which is fine at simulation scale.
+// policy, a function — caller's choice). It keeps every sample, so its
+// percentiles are exact and its memory grows with the run: it is for
+// batch code (experiments, load generation, examples). Recorders that
+// live as long as the process use obs.Histogram instead.
 type Metrics struct {
 	Label   string
 	samples []simtime.Duration

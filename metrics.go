@@ -4,11 +4,15 @@ import (
 	"slices"
 	"sync"
 
-	"catalyzer/internal/platform"
+	"catalyzer/internal/obs"
 )
 
 // KindStats summarizes the invocations a fleet has served with one boot
-// kind.
+// kind. Count, MeanBoot and MaxBoot are exact. The percentiles come from
+// a fixed-size histogram: each is never below the exact nearest-rank
+// value and exceeds it by less than 1/128 of it, so recording costs the
+// same memory however long the fleet serves. Batch code that needs exact
+// percentiles keeps its own samples (platform.Metrics).
 type KindStats struct {
 	Count    int
 	MeanBoot Duration
@@ -18,26 +22,26 @@ type KindStats struct {
 	MaxBoot  Duration
 }
 
-// statsCollector accumulates a Fleet's per-kind boot metrics. It has its
-// own mutex so stats never contend with the machines' locks.
+// statsCollector accumulates a Fleet's per-kind boot latency histograms.
+// It has its own mutex so stats never contend with the machines' locks.
 type statsCollector struct {
 	mu     sync.Mutex
-	byKind map[BootKind]*platform.Metrics
+	byKind map[BootKind]*obs.Histogram
 }
 
 func newStatsCollector() *statsCollector {
-	return &statsCollector{byKind: make(map[BootKind]*platform.Metrics)}
+	return &statsCollector{byKind: make(map[BootKind]*obs.Histogram)}
 }
 
 func (sc *statsCollector) observe(kind BootKind, boot Duration) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	m, ok := sc.byKind[kind]
+	h, ok := sc.byKind[kind]
 	if !ok {
-		m = platform.NewMetrics(string(kind))
-		sc.byKind[kind] = m
+		h = new(obs.Histogram)
+		sc.byKind[kind] = h
 	}
-	m.ObserveDuration(boot)
+	h.Observe(boot)
 }
 
 // snapshot returns the per-kind boot latency distributions collected so
@@ -46,15 +50,14 @@ func (sc *statsCollector) snapshot() map[BootKind]KindStats {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	out := make(map[BootKind]KindStats, len(sc.byKind))
-	for kind, m := range sc.byKind {
-		p := m.Percentiles(50, 95, 99)
+	for kind, h := range sc.byKind {
 		out[kind] = KindStats{
-			Count:    m.Count(),
-			MeanBoot: m.Mean(),
-			P50Boot:  p[0],
-			P95Boot:  p[1],
-			P99Boot:  p[2],
-			MaxBoot:  m.Max(),
+			Count:    h.Count(),
+			MeanBoot: h.Mean(),
+			P50Boot:  h.Percentile(50),
+			P95Boot:  h.Percentile(95),
+			P99Boot:  h.Percentile(99),
+			MaxBoot:  h.Max(),
 		}
 	}
 	return out
